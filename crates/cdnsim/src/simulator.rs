@@ -2,7 +2,7 @@
 //! semantics, runs the caches, and emits finished log records.
 
 use crate::cache::{CacheKey, CachePolicy, PolicyKind, TtlCache};
-use crate::faults::{splitmix64, FaultClock, FaultPlan};
+use crate::faults::{splitmix64, FaultClock, FaultPlan, OriginFetch};
 use crate::push::cacheable_key;
 use crate::stats::ServeStats;
 use crate::topology::Topology;
@@ -55,18 +55,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the freshness TTL (builder-style).
-    pub fn with_ttl(mut self, ttl_secs: u64) -> Self {
-        self.ttl_secs = Some(ttl_secs);
-        self
-    }
-
-    /// Enables cooperative sibling-PoP lookups (builder-style).
-    pub fn with_cooperative(mut self) -> Self {
-        self.cooperative = true;
-        self
-    }
-
     /// Adds a regional parent cache tier (builder-style).
     pub fn with_parent(mut self, capacity_bytes: u64) -> Self {
         self.parent_capacity_bytes = Some(capacity_bytes);
@@ -113,9 +101,8 @@ pub(crate) fn served_status(kind: RequestKind) -> HttpStatus {
 /// Applies HTTP + cache semantics for one request against one cache,
 /// returning `(status, cache status, body bytes)` without touching any
 /// statistics or building a record. This is the single source of truth for
-/// request semantics — `serve`, `replay`, `replay_stats` and the sweep
-/// engine all route through it or its two parts, [`served_status`] and
-/// [`cacheable_key`].
+/// request semantics — [`Simulator::serve_at`] and the sweep engine route
+/// through it or its two parts, [`served_status`] and [`cacheable_key`].
 pub(crate) fn serve_outcome(
     cache: &mut dyn CachePolicy,
     request: &Request,
@@ -176,16 +163,6 @@ struct DegradedOutcome {
 }
 
 impl DegradedOutcome {
-    fn healthy(status: HttpStatus, cache_status: CacheStatus, bytes: u64) -> Self {
-        Self {
-            status,
-            cache_status,
-            bytes,
-            degraded: DegradedServe::None,
-            retries: 0,
-        }
-    }
-
     fn shed(retries: u8) -> Self {
         Self {
             status: HttpStatus::SERVICE_UNAVAILABLE,
@@ -209,75 +186,6 @@ impl DegradedOutcome {
     }
 }
 
-/// Applies fault-aware HTTP semantics for one request against one cache.
-///
-/// Outside a brownout (or for bodyless kinds) this is exactly
-/// [`serve_outcome`], tagged `Failover` when serving at a sibling PoP.
-/// During an origin brownout, for body-carrying requests:
-///
-/// 1. A fresh cached copy ([`CachePolicy::peek`]) serves normally — the
-///    origin is not involved.
-/// 2. Otherwise the origin fetch is resolved through the plan's retry
-///    schedule. Success serves normally (the retries are accounted);
-/// 3. failure serves a present-but-stale copy as `Stale`
-///    (stale-while-revalidate) **without mutating the cache** — no TTL
-///    refresh, no recency bump, no admission — because no origin fetch
-///    actually completed;
-/// 4. failure with no cached copy sheds the request with `503`.
-///
-/// Escalation probes (parent tier / cooperative siblings) are skipped on
-/// a failed fetch: in this model they revalidate through the same
-/// browning origin. Conditional 304s are answered from the edge's own
-/// validators and never consult the origin.
-fn degraded_outcome(
-    cache: &mut dyn CachePolicy,
-    request: &Request,
-    probe: Option<MissProbe<'_>>,
-    clock: &FaultClock,
-    failover: bool,
-) -> DegradedOutcome {
-    let base_degraded = if failover {
-        DegradedServe::Failover
-    } else {
-        DegradedServe::None
-    };
-    let t = request.timestamp;
-    if let Some((key, bytes)) = cacheable_key(request) {
-        if clock.failure_prob(t).is_some() && !cache.peek(&key, t) {
-            let fetch = clock.origin_fetch(t, request_identity(request));
-            if !fetch.ok {
-                return if cache.contains(&key) {
-                    DegradedOutcome {
-                        status: served_status(request.kind),
-                        cache_status: CacheStatus::Hit,
-                        bytes,
-                        degraded: DegradedServe::Stale,
-                        retries: fetch.retries,
-                    }
-                } else {
-                    DegradedOutcome::shed(fetch.retries)
-                };
-            }
-            let (status, cache_status, bytes) = serve_outcome(cache, request, probe);
-            return DegradedOutcome {
-                status,
-                cache_status,
-                bytes,
-                degraded: base_degraded,
-                retries: fetch.retries,
-            };
-        }
-    }
-    let (status, cache_status, bytes) = serve_outcome(cache, request, probe);
-    DegradedOutcome {
-        status,
-        cache_status,
-        bytes,
-        degraded: base_degraded,
-        retries: 0,
-    }
-}
-
 struct Pop {
     cache: Box<dyn CachePolicy>,
     stats: ServeStats,
@@ -289,12 +197,20 @@ struct Pop {
 }
 
 impl Pop {
-    /// Serves one request against this PoP's cache with healthy semantics
-    /// and counts it.
-    fn serve(&mut self, request: &Request, probe: Option<MissProbe<'_>>) -> DegradedOutcome {
-        let (status, cache_status, bytes) = serve_outcome(self.cache.as_mut(), request, probe);
-        self.stats.record(status, cache_status.is_hit(), bytes);
-        DegradedOutcome::healthy(status, cache_status, bytes)
+    /// Capacity pressure: whether a body-carrying request at `t` exceeds
+    /// this PoP's per-second admission `budget`, admitting it into the
+    /// second's bucket otherwise. Requests arrive in trace order per PoP,
+    /// so the bucket is deterministic.
+    fn over_budget(&mut self, budget: u32, t: u64) -> bool {
+        if self.bucket_sec != t {
+            self.bucket_sec = t;
+            self.bucket_count = 0;
+        }
+        if self.bucket_count >= budget {
+            return true;
+        }
+        self.bucket_count += 1;
+        false
     }
 }
 
@@ -309,8 +225,11 @@ impl std::fmt::Debug for Pop {
 
 /// A multi-PoP CDN edge.
 ///
-/// `serve` takes `&self` (PoPs are individually locked), so traces can be
-/// replayed in parallel with [`Simulator::replay`].
+/// Every request is served through one path under a fault schedule: a
+/// healthy simulator's schedule is an empty [`FaultPlan`], under which
+/// that path serves exactly as a CDN with no faults. `serve` takes `&self`
+/// (PoPs are individually locked), so traces can be replayed in parallel
+/// with [`Simulator::replay`].
 ///
 /// # Example
 ///
@@ -331,9 +250,8 @@ pub struct Simulator {
     cooperative: bool,
     /// One parent cache per region, when the tier is configured.
     parents: Vec<Mutex<Box<dyn CachePolicy>>>,
-    /// Fault schedule, when degraded serving is enabled
-    /// (see [`Simulator::with_faults`]).
-    faults: Option<FaultClock>,
+    /// Fault schedule: empty unless set by [`Simulator::with_faults`].
+    faults: FaultClock,
 }
 
 impl Simulator {
@@ -363,18 +281,18 @@ impl Simulator {
             pops,
             cooperative: config.cooperative,
             parents,
-            faults: None,
+            faults: FaultClock::new(FaultPlan::default()),
         }
     }
 
-    /// Attaches a fault schedule (builder-style): all subsequent serving
+    /// Replaces the fault schedule (builder-style): all subsequent serving
     /// consults the plan for PoP outages, origin brownouts, latency
     /// inflation and capacity pressure, degrading gracefully (failover,
     /// stale-while-revalidate, load shedding) instead of assuming a
     /// healthy CDN. An empty plan leaves behavior identical to a
     /// fault-free simulator.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(FaultClock::new(plan));
+        self.faults = FaultClock::new(plan);
         self
     }
 
@@ -391,112 +309,112 @@ impl Simulator {
 
     /// Serves one request, returning the finished log record.
     pub fn serve(&self, request: Request) -> LogRecord {
-        let (pop, outcome) = self.serve_core(&request);
+        let (pop, outcome) = self.serve_locked(&request);
         outcome.into_record(request, pop)
     }
 
-    /// Serves one request and updates the serving PoP's statistics,
-    /// returning `(serving PoP, outcome)`: the one path behind
-    /// [`Simulator::serve`], [`Simulator::serve_stats`] and escalating
-    /// replays.
-    fn serve_core(&self, request: &Request) -> (PopId, DegradedOutcome) {
-        if let Some(clock) = &self.faults {
-            return self.serve_faulted_core(clock, request);
-        }
-        let pop_id = self.topology.route(request.region, request.user);
+    /// Locks the request's partition PoP and serves the request there:
+    /// the serial path behind [`Simulator::serve`] and escalating replays.
+    fn serve_locked(&self, request: &Request) -> (PopId, DegradedOutcome) {
+        let pop_id = self.partition_pop(request);
         let mut pop = self.pops[pop_id.raw() as usize]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let outcome = if self.escalates() {
-            let probe = self.escalation_probe(pop_id, request.region, request.timestamp);
-            pop.serve(request, Some(&probe))
-        } else {
-            pop.serve(request, None)
-        };
-        (pop_id, outcome)
+        (pop_id, self.serve_at(&mut pop, pop_id, request))
     }
 
-    /// The PoP that actually serves a request routed to `routed` at `t`:
-    /// `routed` itself when healthy, else the first healthy sibling in
-    /// deterministic wrap-around order, else `None` (the whole region is
-    /// dark and the request is shed).
-    fn effective_pop(&self, clock: &FaultClock, routed: PopId, t: u64) -> Option<PopId> {
-        if !clock.pop_down(routed, t) {
-            return Some(routed);
+    /// The PoP whose cache and statistics a request's serve touches: the
+    /// routed PoP when it is up, else its first healthy sibling in
+    /// deterministic wrap-around order (failover), else the routed PoP
+    /// again (the whole region is dark and the request is shed there).
+    /// Parallel replay partitions by it, so each PoP's state is owned by
+    /// exactly one replay worker.
+    fn partition_pop(&self, request: &Request) -> PopId {
+        let routed = self.topology.route(request.region, request.user);
+        let t = request.timestamp;
+        if !self.faults.pop_down(routed, t) {
+            return routed;
         }
         self.topology
             .siblings(routed)
-            .find(|&sibling| !clock.pop_down(sibling, t))
+            .find(|&sibling| !self.faults.pop_down(sibling, t))
+            .unwrap_or(routed)
     }
 
-    /// The partition a request belongs to for parallel replay: the PoP
-    /// whose cache and statistics the serve touches. With faults this is
-    /// the *effective* PoP (failover target; the routed PoP for a
-    /// region-dark shed), so each PoP's state is still owned by exactly
-    /// one replay worker.
-    fn partition_pop(&self, request: &Request) -> PopId {
-        let routed = self.topology.route(request.region, request.user);
-        match &self.faults {
-            Some(clock) => self
-                .effective_pop(clock, routed, request.timestamp)
-                .unwrap_or(routed),
-            None => routed,
-        }
-    }
-
-    /// Serves one request under the fault schedule, updating the serving
-    /// PoP's statistics and returning `(serving PoP, outcome)`.
+    /// Serves one request at `pop_id`, its [`Simulator::partition_pop`],
+    /// whose lock the caller holds as `pop`, and counts it there. This is
+    /// the one serve path, healthy or degraded; under an empty plan no
+    /// check below fires and the request is served by [`serve_outcome`].
     ///
-    /// Check order: PoP outage (failover / region-dark shed), then
-    /// capacity pressure (per-second admission budget on body-carrying
-    /// requests), then [`degraded_outcome`] for origin-brownout handling.
-    fn serve_faulted_core(
-        &self,
-        clock: &FaultClock,
-        request: &Request,
-    ) -> (PopId, DegradedOutcome) {
+    /// Check order:
+    ///
+    /// 1. PoP outage: a partition PoP that is down means every PoP of the
+    ///    region is down, so the request is shed, accounted to the PoP
+    ///    the user was sent to. A request served at a sibling is tagged
+    ///    `Failover`.
+    /// 2. Capacity pressure: body-carrying requests beyond the PoP's
+    ///    per-second budget are shed before they touch the cache.
+    /// 3. Origin brownout, for body-carrying requests: a fresh cached copy
+    ///    ([`CachePolicy::peek`]) serves normally, and the origin is not
+    ///    involved. Otherwise the origin fetch is resolved through the
+    ///    plan's retry schedule. Success serves normally (the retries are
+    ///    accounted). Failure serves a present-but-stale copy as `Stale`
+    ///    (stale-while-revalidate) **without mutating the cache** — no TTL
+    ///    refresh, no recency bump, no admission — because no origin fetch
+    ///    actually completed; with no cached copy the request is shed
+    ///    with `503`. Escalation probes are skipped on a failed fetch: in
+    ///    this model they revalidate through the same browning origin.
+    ///    Conditional 304s are answered from the edge's own validators and
+    ///    never consult the origin.
+    /// 4. [`serve_outcome`], with the parent / sibling probe when the
+    ///    configuration escalates misses.
+    fn serve_at(&self, pop: &mut Pop, pop_id: PopId, request: &Request) -> DegradedOutcome {
         let t = request.timestamp;
-        let routed = self.topology.route(request.region, request.user);
-        let Some(pop_id) = self.effective_pop(clock, routed, t) else {
-            // Every PoP of the region is down: shed, accounted to the
-            // routed PoP (the one the user was sent to).
-            let outcome = DegradedOutcome::shed(0);
-            let mut pop = self.pops[routed.raw() as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            pop.stats.record(outcome.status, false, outcome.bytes);
-            pop.stats
-                .note_degraded(outcome.degraded, outcome.retries, outcome.bytes);
-            return (routed, outcome);
-        };
-        let failover = pop_id != routed;
-        let mut pop = self.pops[pop_id.raw() as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Capacity pressure: shed body-carrying requests beyond the
-        // per-second budget before they touch the cache. Requests arrive
-        // in trace order per PoP, so the bucket is deterministic.
-        if cacheable_key(request).is_some() {
-            if let Some(budget) = clock.pressure_budget(pop_id, t) {
-                if pop.bucket_sec != t {
-                    pop.bucket_sec = t;
-                    pop.bucket_count = 0;
-                }
-                if pop.bucket_count >= budget {
-                    let outcome = DegradedOutcome::shed(0);
-                    pop.stats.record(outcome.status, false, outcome.bytes);
-                    pop.stats
-                        .note_degraded(outcome.degraded, outcome.retries, outcome.bytes);
-                    return (pop_id, outcome);
-                }
-                pop.bucket_count += 1;
-            }
-        }
-        let outcome = if self.escalates() {
-            let probe = self.escalation_probe(pop_id, request.region, t);
-            degraded_outcome(pop.cache.as_mut(), request, Some(&probe), clock, failover)
+        let clock = &self.faults;
+        let key = cacheable_key(request);
+        let shed = clock.pop_down(pop_id, t)
+            || key
+                .and_then(|_| clock.pressure_budget(pop_id, t))
+                .is_some_and(|budget| pop.over_budget(budget, t));
+        let outcome = if shed {
+            DegradedOutcome::shed(0)
         } else {
-            degraded_outcome(pop.cache.as_mut(), request, None, clock, failover)
+            let fetch = match key {
+                Some((key, _)) if clock.failure_prob(t).is_some() && !pop.cache.peek(&key, t) => {
+                    clock.origin_fetch(t, request_identity(request))
+                }
+                _ => OriginFetch::CLEAN,
+            };
+            match key {
+                Some((key, bytes)) if !fetch.ok && pop.cache.contains(&key) => DegradedOutcome {
+                    status: served_status(request.kind),
+                    cache_status: CacheStatus::Hit,
+                    bytes,
+                    degraded: DegradedServe::Stale,
+                    retries: fetch.retries,
+                },
+                _ if !fetch.ok => DegradedOutcome::shed(fetch.retries),
+                _ => {
+                    let probe = self
+                        .escalates()
+                        .then(|| self.escalation_probe(pop_id, request.region, t));
+                    let probe = probe.as_ref().map(|p| p as MissProbe<'_>);
+                    let (status, cache_status, bytes) =
+                        serve_outcome(pop.cache.as_mut(), request, probe);
+                    let failover = pop_id != self.topology.route(request.region, request.user);
+                    DegradedOutcome {
+                        status,
+                        cache_status,
+                        bytes,
+                        degraded: if failover {
+                            DegradedServe::Failover
+                        } else {
+                            DegradedServe::None
+                        },
+                        retries: fetch.retries,
+                    }
+                }
+            }
         };
         if outcome.status != HttpStatus::SERVICE_UNAVAILABLE && clock.latency_factor(t) > 1.0 {
             pop.stats.note_inflated();
@@ -505,7 +423,7 @@ impl Simulator {
             .record(outcome.status, outcome.cache_status.is_hit(), outcome.bytes);
         pop.stats
             .note_degraded(outcome.degraded, outcome.retries, outcome.bytes);
-        (pop_id, outcome)
+        outcome
     }
 
     /// The miss-escalation probe for a PoP: the regional parent (if any)
@@ -542,14 +460,6 @@ impl Simulator {
                     sibling.cache.contains(key)
                 })
         }
-    }
-
-    /// Serves one request, updating statistics but skipping the
-    /// [`LogRecord`] — the counters-only equivalent of [`Simulator::serve`]
-    /// for callers that only read [`Simulator::stats`] afterwards.
-    pub fn serve_stats(&self, request: &Request) -> (HttpStatus, CacheStatus, u64) {
-        let (_, outcome) = self.serve_core(request);
-        (outcome.status, outcome.cache_status, outcome.bytes)
     }
 
     /// Replays a time-sorted request batch and returns its records in
@@ -612,7 +522,7 @@ impl Simulator {
     pub fn replay_stats(&self, requests: &[Request]) -> ServeStats {
         if self.escalates() {
             for req in requests {
-                self.serve_stats(req);
+                self.serve_locked(req);
             }
             return self.stats();
         }
@@ -653,8 +563,11 @@ impl Simulator {
     /// The accumulators are the caller's, so whatever they hold is
     /// allocated on the calling thread.
     ///
-    /// Only for non-escalating configurations: no serve touches another
-    /// PoP's state, so each worker owns its PoP outright.
+    /// Each worker locks its PoP once and serves the whole part through
+    /// [`Simulator::serve_at`]. Only for non-escalating configurations:
+    /// every request of a part touches only that part's PoP (the
+    /// partition is by [`Simulator::partition_pop`]), so each worker owns
+    /// its PoP outright.
     fn serve_routed<T, F>(
         &self,
         requests: &[Request],
@@ -666,20 +579,13 @@ impl Simulator {
         F: Fn(&mut T, PopId, DegradedOutcome) + Sync,
     {
         let serve_part = |pop_idx: usize, part: &[u32], acc: &mut T| {
-            let routed = part.iter().filter_map(|&i| requests.get(i as usize));
-            if let Some(clock) = &self.faults {
-                // Per-request serve with internal locking; the
-                // effective-PoP partition keeps it uncontended.
-                for request in routed {
-                    let (pop, outcome) = self.serve_faulted_core(clock, request);
-                    fold(acc, pop, outcome);
-                }
-            } else if let Some(pop) = self.pops.get(pop_idx) {
-                let pop_id = PopId::new(pop_idx as u16);
-                let mut pop = pop.lock().unwrap_or_else(PoisonError::into_inner);
-                for request in routed {
-                    fold(acc, pop_id, pop.serve(request, None));
-                }
+            let Some(pop) = self.pops.get(pop_idx) else {
+                return;
+            };
+            let pop_id = PopId::new(pop_idx as u16);
+            let mut pop = pop.lock().unwrap_or_else(PoisonError::into_inner);
+            for request in part.iter().filter_map(|&i| requests.get(i as usize)) {
+                fold(acc, pop_id, self.serve_at(&mut pop, pop_id, request));
             }
         };
         std::thread::scope(|scope| {
@@ -726,6 +632,7 @@ impl Simulator {
     /// A valid-but-idle PoP returns `Some` zeroed counters; `None` means
     /// the id does not exist in this topology. Callers can therefore
     /// distinguish "nothing was routed here" from "no such PoP".
+    // oat-lint: allow(dead-api) -- test oracle: per-PoP failover accounting
     pub fn pop_stats(&self, pop: PopId) -> Option<ServeStats> {
         self.pops.get(pop.raw() as usize).map(|p| {
             p.lock()
@@ -937,7 +844,10 @@ mod tests {
     #[test]
     fn replay_stats_matches_serial_serve_under_escalation() {
         for config in [
-            SimConfig::default_edge().with_cooperative(),
+            SimConfig {
+                cooperative: true,
+                ..SimConfig::default_edge()
+            },
             SimConfig {
                 pops_per_region: 2,
                 ..SimConfig::default_edge()
@@ -955,24 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_stats_matches_serve() {
-        let by_record = Simulator::new(&SimConfig::default_edge());
-        let records: Vec<LogRecord> = mixed_trace(200)
-            .into_iter()
-            .map(|r| by_record.serve(r))
-            .collect();
-        let by_stats = Simulator::new(&SimConfig::default_edge());
-        for (req, rec) in mixed_trace(200).iter().zip(&records) {
-            let (status, cache_status, bytes) = by_stats.serve_stats(req);
-            assert_eq!(
-                (status, cache_status, bytes),
-                (rec.status, rec.cache_status, rec.bytes_served)
-            );
-        }
-        assert_eq!(by_stats.stats(), by_record.stats());
-    }
-
-    #[test]
     fn preload_turns_first_requests_into_hits() {
         let sim = Simulator::new(&SimConfig::default_edge());
         sim.preload([(CacheKey::whole(ObjectId::new(5)), 1_000)]);
@@ -983,7 +875,10 @@ mod tests {
 
     #[test]
     fn ttl_config_expires_entries() {
-        let config = SimConfig::default_edge().with_ttl(10);
+        let config = SimConfig {
+            ttl_secs: Some(10),
+            ..SimConfig::default_edge()
+        };
         let sim = Simulator::new(&config);
         sim.serve(request(1, 1, 0, RequestKind::Full));
         assert_eq!(
@@ -1000,11 +895,13 @@ mod tests {
 
     #[test]
     fn sim_config_builders() {
-        let c = SimConfig::default_edge()
-            .with_policy(PolicyKind::Slru)
-            .with_capacity(123)
-            .with_ttl(7)
-            .with_cooperative();
+        let c = SimConfig {
+            ttl_secs: Some(7),
+            cooperative: true,
+            ..SimConfig::default_edge()
+                .with_policy(PolicyKind::Slru)
+                .with_capacity(123)
+        };
         assert_eq!(c.policy, PolicyKind::Slru);
         assert_eq!(c.cache_capacity_bytes, 123);
         assert_eq!(c.ttl_secs, Some(7));
@@ -1013,7 +910,10 @@ mod tests {
 
     #[test]
     fn cooperative_probe_finds_sibling_copies() {
-        let sim = Simulator::new(&SimConfig::default_edge().with_cooperative());
+        let sim = Simulator::new(&SimConfig {
+            cooperative: true,
+            ..SimConfig::default_edge()
+        });
         // Warm the Europe PoP.
         let mut eu = request(1, 1, 0, RequestKind::Full);
         eu.region = Region::Europe;
@@ -1043,7 +943,10 @@ mod tests {
                 })
                 .collect()
         };
-        let coop = Simulator::new(&SimConfig::default_edge().with_cooperative());
+        let coop = Simulator::new(&SimConfig {
+            cooperative: true,
+            ..SimConfig::default_edge()
+        });
         let coop_records = coop.replay(make(400));
         let plain = Simulator::new(&SimConfig::default_edge());
         let plain_records = plain.replay(make(400));
@@ -1171,7 +1074,10 @@ mod tests {
     #[test]
     fn brownout_serves_stale_past_ttl_without_refreshing() {
         use crate::faults::{Brownout, Window};
-        let config = SimConfig::default_edge().with_ttl(10);
+        let config = SimConfig {
+            ttl_secs: Some(10),
+            ..SimConfig::default_edge()
+        };
         let mut plan = FaultPlan::new(3);
         plan.brownouts.push(Brownout {
             window: Window::new(10, 40),

@@ -10,11 +10,10 @@
 //! 1. the PoP routing partition is computed **once** per distinct topology
 //!    ([`RoutePartition`]) and the trace is shared by reference across all
 //!    grid points — no per-configuration request clone;
-//! 2. pure-LRU capacity points collapse onto an exact
-//!    [`MattsonCurve`](crate::MattsonCurve): one `O(n log n)` stack pass
-//!    answers *every* capacity, replacing K independent replays. A
-//!    one-pass check skips the curve when some key changes size, which
-//!    no curve can model;
+//! 2. pure-LRU capacity points collapse onto an exact [`MattsonCurve`]:
+//!    one `O(n log n)` stack pass answers *every* capacity, replacing K
+//!    independent replays. A one-pass check skips the curve when some key
+//!    changes size, which no curve can model;
 //! 3. the remaining plain points replay PoP-major, counters only (no
 //!    `LogRecord` materialization): for one PoP at a time, the PoP's
 //!    requests are reduced once to a compact stream of body-carrying
@@ -27,16 +26,12 @@
 //! evaluated independently and deterministically, per-PoP totals are
 //! summed in PoP order, and results are collected in grid order.
 //! Configurations with miss escalation (cooperative siblings, parent
-//! tier) are served serially in trace order inside their grid task, as
-//! [`Simulator::replay`] serves them, so even A7/A8-style points are
-//! reproducible.
-//!
-//! [`Sweep::with_faults`] evaluates the whole grid degraded under one
-//! [`FaultPlan`], so a healthy grid and its degraded twin come from the
-//! same trace and can be compared point for point.
+//! tier) are one grid task each, a [`Simulator::replay_stats`] that
+//! serves them serially in trace order, so even A7/A8-style points are
+//! reproducible. A sweep evaluates a healthy CDN; degraded serving under a
+//! fault plan is [`Simulator::with_faults`].
 
 use crate::cache::{CacheKey, PolicyKind};
-use crate::faults::FaultPlan;
 use crate::mattson::MattsonCurve;
 use crate::push::cacheable_key;
 use crate::simulator::{build_policy, served_status, SimConfig, Simulator};
@@ -141,7 +136,6 @@ pub struct SweepResult {
 pub struct Sweep<'a> {
     requests: &'a [Request],
     threads: usize,
-    faults: Option<FaultPlan>,
 }
 
 impl<'a> Sweep<'a> {
@@ -151,7 +145,6 @@ impl<'a> Sweep<'a> {
         Self {
             requests,
             threads: 0,
-            faults: None,
         }
     }
 
@@ -162,41 +155,26 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Attaches a fault schedule: every grid point is evaluated degraded
-    /// under the same plan, so healthy-vs-degraded grids can be compared
-    /// point for point. Fault handling bypasses the Mattson shortcut
-    /// (degraded serving is not a pure LRU stack process), so every point
-    /// replays.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Evaluates every configuration in `configs`, returning results in
     /// the same order.
     pub fn run(&self, configs: &[SimConfig]) -> Vec<SweepResult> {
         // One routing partition per distinct topology that replays plain
-        // points or builds a curve; faulted and escalating points route
-        // inside their own simulator.
+        // points or builds a curve; escalating points route inside their
+        // own simulator.
         let mut partitions: BTreeMap<usize, RoutePartition> = BTreeMap::new();
-        for config in configs
-            .iter()
-            .filter(|c| self.faults.is_none() && !escalates(c))
-        {
+        for config in configs.iter().filter(|c| !escalates(c)) {
             let ppr = config.pops_per_region.max(1);
             partitions
                 .entry(ppr)
                 .or_insert_with(|| RoutePartition::build(&Topology::new(ppr), self.requests));
         }
         // One Mattson curve per topology that has eligible LRU points; the
-        // curve replaces every capacity replay it covers. Faulted sweeps
-        // never build curves — every point replays degraded — and neither
-        // do traces where a key changes size, since no curve built on them
-        // is exact at any capacity.
+        // curve replaces every capacity replay it covers. Traces where a
+        // key changes size build none, since no curve built on them is
+        // exact at any capacity.
         let mut curves: BTreeMap<usize, MattsonCurve> = BTreeMap::new();
-        let build_curves = self.faults.is_none()
-            && configs.iter().any(mattson_eligible)
-            && keys_keep_one_size(self.requests);
+        let build_curves =
+            configs.iter().any(mattson_eligible) && keys_keep_one_size(self.requests);
         for config in configs
             .iter()
             .filter(|c| build_curves && mattson_eligible(c))
@@ -209,7 +187,7 @@ impl<'a> Sweep<'a> {
             }
         }
 
-        // Faulted, curve-answered and escalating points: one task each.
+        // Curve-answered and escalating points: one task each.
         let mut results = parallel_map(self.threads, configs, |config| self.eval(config, &curves));
         // Every other point is a plain replay, run PoP-major per topology.
         for (&ppr, partition) in &partitions {
@@ -245,22 +223,11 @@ impl<'a> Sweep<'a> {
         config: &SimConfig,
         curves: &BTreeMap<usize, MattsonCurve>,
     ) -> Option<(ServeStats, SweepEngine)> {
-        if let Some(plan) = &self.faults {
-            // Degraded evaluation: one fault-aware simulator per point.
-            // `replay_stats` partitions by effective PoP and keeps
-            // escalating points serial, so results are deterministic at
-            // any thread count.
-            let sim = Simulator::new(config).with_faults(plan.clone());
-            return Some((sim.replay_stats(self.requests), SweepEngine::Replay));
-        }
         if escalates(config) {
-            // Serial, in trace order: cross-PoP probes see one
+            // Served serially in trace order: cross-PoP probes see one
             // deterministic interleaving.
-            let sim = Simulator::new(config);
-            for req in self.requests {
-                sim.serve_stats(req);
-            }
-            return Some((sim.stats(), SweepEngine::Replay));
+            let stats = Simulator::new(config).replay_stats(self.requests);
+            return Some((stats, SweepEngine::Replay));
         }
         let curve = curves.get(&config.pops_per_region.max(1))?;
         (mattson_eligible(config) && curve.exact_at(config.cache_capacity_bytes)).then(|| {
@@ -271,7 +238,7 @@ impl<'a> Sweep<'a> {
         })
     }
 
-    /// Replays plain (non-escalating, healthy) points over one topology's
+    /// Replays plain (non-escalating) points over one topology's
     /// partition, one PoP at a time: each PoP's [`PopStream`] is built
     /// once, every point runs a fresh cache over it on the worker pool,
     /// and the per-point totals are merged in PoP order. Only one PoP's
@@ -528,9 +495,10 @@ mod tests {
     fn escalating_points_are_deterministic() {
         let requests = trace(300);
         let grid = vec![
-            SimConfig::default_edge()
-                .with_capacity(2_000_000)
-                .with_cooperative(),
+            SimConfig {
+                cooperative: true,
+                ..SimConfig::default_edge().with_capacity(2_000_000)
+            },
             SimConfig {
                 pops_per_region: 2,
                 ..SimConfig::default_edge()
@@ -542,51 +510,6 @@ mod tests {
         let b = Sweep::new(&requests).with_threads(1).run(&grid);
         assert_eq!(a, b);
         assert_eq!(a[0].engine, SweepEngine::Replay);
-    }
-
-    #[test]
-    fn faulted_sweep_matches_independent_simulation() {
-        let requests = trace(400);
-        let plan = FaultPlan::sample(0xAB, 400, 4);
-        // An A1-shaped grid: LRU capacity sweep.
-        let grid: Vec<SimConfig> = [2_000_000u64, 4_000_000, 8_000_000]
-            .iter()
-            .map(|&cap| SimConfig::default_edge().with_capacity(cap))
-            .collect();
-        let results = Sweep::new(&requests).with_faults(plan.clone()).run(&grid);
-        for (config, result) in grid.iter().zip(&results) {
-            assert_eq!(result.engine, SweepEngine::Replay, "faults bypass Mattson");
-            let sim = Simulator::new(config).with_faults(plan.clone());
-            assert_eq!(
-                result.stats,
-                sim.replay_stats(&requests),
-                "counter-for-counter"
-            );
-        }
-        // The plan actually degraded traffic somewhere in the grid.
-        assert!(results
-            .iter()
-            .any(|r| r.stats.shed + r.stats.stale_hits + r.stats.degraded_hits > 0));
-    }
-
-    #[test]
-    fn faulted_sweep_is_thread_invariant() {
-        let requests = trace(300);
-        let plan = FaultPlan::sample(9, 300, 4);
-        let grid: Vec<SimConfig> = (1..=4u64)
-            .map(|i| SimConfig::default_edge().with_capacity(i * 1_500_000))
-            .collect();
-        let serial = Sweep::new(&requests)
-            .with_threads(1)
-            .with_faults(plan.clone())
-            .run(&grid);
-        for threads in [2, 4] {
-            let parallel = Sweep::new(&requests)
-                .with_threads(threads)
-                .with_faults(plan.clone())
-                .run(&grid);
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! plan serialization, and thread-invariant degraded replay.
 
 use oat_cdnsim::faults::{Brownout, FaultPlan, PopOutage, RetryPolicy, Window};
-use oat_cdnsim::{SimConfig, Simulator, Sweep};
+use oat_cdnsim::{SimConfig, Simulator};
 use oat_httplog::{DegradedServe, LogRecord, ObjectId, Region, Request, RequestKind, UserId};
 use proptest::prelude::*;
 
@@ -90,24 +90,41 @@ proptest! {
     ) {
         let requests = trace(&spec);
         let plan = FaultPlan::sample(seed, requests.len() as u64, 8);
-        let config = SimConfig {
+        let plain = SimConfig {
             pops_per_region: 2,
             ..SimConfig::default_edge()
         };
-        let serial_sim = Simulator::new(&config).with_faults(plan.clone());
-        let serial: Vec<LogRecord> = requests
-            .iter()
-            .cloned()
-            .map(|r| serial_sim.serve(r))
-            .collect();
-        // Parallel replay emits byte-identical records in input order.
-        let par_sim = Simulator::new(&config).with_faults(plan.clone());
-        let parallel = par_sim.replay(requests.clone());
-        prop_assert_eq!(&parallel, &serial);
-        prop_assert_eq!(par_sim.stats(), serial_sim.stats());
-        // A second run from scratch reproduces the first exactly.
-        let again = Simulator::new(&config).with_faults(plan).replay(requests);
-        prop_assert_eq!(again, serial);
+        // Escalating configurations probe siblings or the regional parent
+        // on a local miss, failed-over requests included.
+        let cooperative = SimConfig {
+            cooperative: true,
+            ..plain.clone()
+        };
+        let parent_tier = SimConfig {
+            parent_capacity_bytes: Some(1_000_000_000),
+            ..plain.clone()
+        };
+        for config in [plain, cooperative, parent_tier] {
+            let serial_sim = Simulator::new(&config).with_faults(plan.clone());
+            let serial: Vec<LogRecord> = requests
+                .iter()
+                .cloned()
+                .map(|r| serial_sim.serve(r))
+                .collect();
+            // Parallel replay emits byte-identical records in input order.
+            let par_sim = Simulator::new(&config).with_faults(plan.clone());
+            let parallel = par_sim.replay(requests.clone());
+            prop_assert_eq!(&parallel, &serial);
+            prop_assert_eq!(par_sim.stats(), serial_sim.stats());
+            // Counters-only replay agrees counter for counter.
+            let stats_sim = Simulator::new(&config).with_faults(plan.clone());
+            prop_assert_eq!(stats_sim.replay_stats(&requests), serial_sim.stats());
+            // A second run from scratch reproduces the first exactly.
+            let again = Simulator::new(&config)
+                .with_faults(plan.clone())
+                .replay(requests.clone());
+            prop_assert_eq!(again, serial);
+        }
     }
 
     #[test]
@@ -152,26 +169,5 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&availability));
         prop_assert!(stats.shed <= stats.requests);
         prop_assert_eq!(stats.requests, requests.len() as u64);
-    }
-
-    #[test]
-    fn faulted_sweep_is_thread_invariant(
-        spec in prop::collection::vec((0u64..15, 0u64..10, 0usize..4, 0usize..3), 1..150),
-        seed in any::<u64>(),
-    ) {
-        let requests = trace(&spec);
-        let plan = FaultPlan::sample(seed, requests.len() as u64, 4);
-        let grid: Vec<SimConfig> = (1..=3u64)
-            .map(|i| SimConfig::default_edge().with_capacity(i * 1_000_000))
-            .collect();
-        let serial = Sweep::new(&requests)
-            .with_threads(1)
-            .with_faults(plan.clone())
-            .run(&grid);
-        let parallel = Sweep::new(&requests)
-            .with_threads(4)
-            .with_faults(plan)
-            .run(&grid);
-        prop_assert_eq!(serial, parallel);
     }
 }

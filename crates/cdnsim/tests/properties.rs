@@ -50,7 +50,10 @@ fn replay_configs(pops_per_region: usize, policy: PolicyKind) -> [SimConfig; 3] 
     .with_policy(policy);
     [
         healthy.clone(),
-        healthy.clone().with_cooperative(),
+        SimConfig {
+            cooperative: true,
+            ..healthy.clone()
+        },
         healthy.with_parent(30_000),
     ]
 }

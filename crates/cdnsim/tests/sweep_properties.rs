@@ -124,9 +124,9 @@ proptest! {
             let base = SimConfig { pops_per_region, ..SimConfig::default_edge() }.with_capacity(cap);
             for policy in PolicyKind::ALL {
                 grid.push(base.clone().with_policy(policy));
-                grid.push(base.clone().with_policy(policy).with_ttl(ttl));
+                grid.push(SimConfig { ttl_secs: Some(ttl), ..base.clone().with_policy(policy) });
             }
-            grid.push(base.clone().with_cooperative());
+            grid.push(SimConfig { cooperative: true, ..base.clone() });
             grid.push(base.with_parent(4 * cap));
         }
         let results = Sweep::new(&requests).run(&grid);

@@ -20,6 +20,16 @@ impl Gen {
         }
     }
 
+    /// A generator seeded from a property's whole name (FNV-1a), so two
+    /// properties draw different cases even when their names are equally
+    /// long.
+    pub fn named(name: &str) -> Self {
+        let hash = name.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        });
+        Self::new(hash)
+    }
+
     pub fn reseed(&mut self, case: u64) {
         self.state = self.state.wrapping_add(0xA076_1D64_78BD_642F ^ case);
     }
@@ -395,7 +405,7 @@ macro_rules! __proptest_fns {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
-            let mut gen = $crate::Gen::new(0x0A7_5EED ^ stringify!($name).len() as u64);
+            let mut gen = $crate::Gen::named(stringify!($name));
             for case in 0..config.cases {
                 gen.reseed(case);
                 $(let $pat = $crate::Strategy::generate(&($strat), &mut gen);)+
@@ -403,4 +413,20 @@ macro_rules! __proptest_fns {
             }
         }
     )*};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Gen;
+
+    #[test]
+    fn equally_long_names_draw_different_cases() {
+        let mut a = Gen::named("sizes_round_trip");
+        let mut b = Gen::named("sizes_are_sorted");
+        assert_ne!(a.next_u64(), b.next_u64());
+        assert_eq!(
+            Gen::named("sizes_round_trip").next_u64(),
+            Gen::named("sizes_round_trip").next_u64()
+        );
+    }
 }

@@ -138,11 +138,10 @@ fn cooperative_caching_lifts_hit_ratio() {
     plain.replay(trace.requests.clone());
     let isolated = plain.stats().hit_ratio().unwrap();
 
-    let coop_sim = Simulator::new(
-        &SimConfig::default_edge()
-            .with_capacity(500_000_000)
-            .with_cooperative(),
-    );
+    let coop_sim = Simulator::new(&SimConfig {
+        cooperative: true,
+        ..SimConfig::default_edge().with_capacity(500_000_000)
+    });
     coop_sim.replay(trace.requests.clone());
     let cooperative = coop_sim.stats().hit_ratio().unwrap();
     assert!(
@@ -177,7 +176,10 @@ fn ttl_reduces_hit_ratio_monotonically() {
     let trace = trace();
     let mut previous = -1.0f64;
     for ttl in [3_600u64, 21_600, 86_400, 7 * 86_400] {
-        let sim = Simulator::new(&SimConfig::default_edge().with_ttl(ttl));
+        let sim = Simulator::new(&SimConfig {
+            ttl_secs: Some(ttl),
+            ..SimConfig::default_edge()
+        });
         sim.replay(trace.requests.clone());
         let ratio = sim.stats().hit_ratio().unwrap();
         assert!(
