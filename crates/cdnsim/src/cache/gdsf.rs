@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// Byte-bounded GDSF cache.
 ///
 /// Priorities are quantized to integer micro-units so they can rank
-/// entries in a [`RankHeap`] (avoids float-ordering pitfalls while keeping
+/// entries in a rank heap (avoids float-ordering pitfalls while keeping
 /// 1e-6 resolution).
 #[derive(Debug)]
 pub struct GdsfCache {

@@ -15,6 +15,13 @@
 //! Both take the header, checksum block and footer through one parser, so
 //! a bad shard gets the same error from either.
 //!
+//! [`ColumnarShard::read_rows`] decodes a batch from each column's slice
+//! of it, fetched once, and reports the first bad cell by its shard row.
+//! [`ColumnBuilder`] interns user agents by value, in first-seen order,
+//! behind a lookup by allocation that answers rows sharing an `Arc`.
+//! [`ColumnBuilder::gather`] appends rows of opened shards by location
+//! without decoding them, for the spool generator's order phase.
+//!
 //! # Layout
 //!
 //! ```text
@@ -65,7 +72,8 @@
 //!
 //! [`ColumnBuilder::write_segment_to`] writes one and
 //! [`ColumnarShard::from_segment`] verifies and opens it, given the same
-//! sorted, deduplicated agent table.
+//! sorted, deduplicated agent table; it checks every coded cell as well,
+//! because [`ColumnBuilder::gather`] copies cells without decoding them.
 //!
 //! # Corruption detection
 //!
@@ -105,7 +113,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -116,7 +124,7 @@ use std::sync::Arc;
 
 use crate::content::FileFormat;
 use crate::durable::{write_atomic, IoLayer, RealIo, Xxh64};
-use crate::ids::{ObjectId, PublisherId, UserId};
+use crate::ids::{IdBuildHasher, ObjectId, PublisherId, UserId};
 use crate::request::{Request, RequestKind};
 use crate::Region;
 
@@ -317,28 +325,29 @@ pub trait ColumnarRow: Sized + Clone + Send + 'static {
     /// The schema tag written into shard headers and footers.
     const SCHEMA: Schema;
 
-    /// Appends this row's fields, in column order, to a shard under
-    /// construction.
+    /// Appends `rows` to a shard under construction, column by column,
+    /// and folds them into its row count and zone map.
     ///
     /// # Errors
     ///
     /// Returns [`ColumnarError::DictionaryOverflow`] when the shard's
-    /// user-agent dictionary is full.
-    fn append_to(&self, builder: &mut ColumnBuilder<Self>) -> Result<(), ColumnarError>;
+    /// user-agent dictionary is full; the rows before the first that
+    /// found it full are appended.
+    fn append_batch(rows: &[Self], builder: &mut ColumnBuilder<Self>) -> Result<(), ColumnarError>;
 
-    /// Materializes row `index` from an opened shard.
+    /// Materializes rows `rows` (within the shard) of an opened shard,
+    /// appending them to `out` in row order.
     ///
     /// # Errors
     ///
-    /// Returns [`ColumnarError::InvalidValue`] when a stored field decodes
-    /// to no valid domain value.
-    fn read_row(shard: &ColumnarShard, index: usize) -> Result<Self, ColumnarError>;
-
-    /// Row timestamp (drives the zone map).
-    fn row_timestamp(&self) -> u64;
-
-    /// Row publisher (drives the zone map).
-    fn row_publisher(&self) -> PublisherId;
+    /// Returns [`ColumnarError::InvalidValue`] for the first row with a
+    /// stored field that decodes to no valid domain value; `out` then
+    /// holds the rows before it.
+    fn read_batch(
+        shard: &ColumnarShard,
+        rows: Range<usize>,
+        out: &mut Vec<Self>,
+    ) -> Result<(), ColumnarError>;
 }
 
 /// Streaming writer for one columnar shard: rows go in, column buffers
@@ -351,6 +360,11 @@ pub struct ColumnBuilder<T: ColumnarRow> {
     cols: Vec<Vec<u8>>,
     dict: Vec<Arc<str>>,
     dict_index: BTreeMap<Arc<str>, u32>,
+    /// Dictionary index by allocation address, in front of `dict_index`.
+    /// Each entry holds a clone of the `Arc` it is keyed on, so the
+    /// address cannot be freed and reused by another agent while the entry
+    /// lives.
+    by_alloc: HashMap<usize, (Arc<str>, u32), IdBuildHasher>,
     rows: usize,
     zone: ZoneMap,
     _row: PhantomData<fn() -> T>,
@@ -369,6 +383,7 @@ impl<T: ColumnarRow> ColumnBuilder<T> {
             cols: vec![Vec::new(); T::SCHEMA.widths().len()],
             dict: Vec::new(),
             dict_index: BTreeMap::new(),
+            by_alloc: HashMap::default(),
             rows: 0,
             zone: ZoneMap::empty(),
             _row: PhantomData,
@@ -382,22 +397,17 @@ impl<T: ColumnarRow> ColumnBuilder<T> {
     /// Returns [`ColumnarError::DictionaryOverflow`] when the shard's
     /// user-agent dictionary is full.
     pub fn push(&mut self, row: &T) -> Result<(), ColumnarError> {
-        row.append_to(self)?;
-        self.zone.observe(row.row_timestamp(), row.row_publisher());
-        self.rows += 1;
-        Ok(())
+        self.push_batch(std::slice::from_ref(row))
     }
 
-    /// Appends a batch of rows.
+    /// Appends a batch of rows, column by column.
     ///
     /// # Errors
     ///
-    /// As [`ColumnBuilder::push`].
+    /// As [`ColumnBuilder::push`]; the rows before the first that found
+    /// the dictionary full are appended.
     pub fn push_batch(&mut self, rows: &[T]) -> Result<(), ColumnarError> {
-        for row in rows {
-            self.push(row)?;
-        }
-        Ok(())
+        T::append_batch(rows, self)
     }
 
     /// Rows buffered so far.
@@ -412,6 +422,7 @@ impl<T: ColumnarRow> ColumnBuilder<T> {
         }
         self.dict.clear();
         self.dict_index.clear();
+        self.by_alloc.clear();
         self.rows = 0;
         self.zone = ZoneMap::empty();
     }
@@ -555,55 +566,199 @@ impl<T: ColumnarRow> ColumnBuilder<T> {
 
     /// Interns a user agent, returning its dictionary index. Entries are
     /// kept in first-seen order by value; a new one shares `ua`'s
-    /// allocation instead of copying it.
+    /// allocation instead of copying it. Requests that share an
+    /// allocation (every request of a user does) are answered by its
+    /// address, without comparing the string.
     fn intern_user_agent(&mut self, ua: &Arc<str>) -> Result<u32, ColumnarError> {
-        if let Some(&idx) = self.dict_index.get(&**ua) {
-            return Ok(idx);
+        let addr = Arc::as_ptr(ua).cast::<u8>() as usize;
+        if let Some((_, idx)) = self.by_alloc.get(&addr) {
+            return Ok(*idx);
         }
-        let idx = u32::try_from(self.dict.len()).map_err(|_| ColumnarError::DictionaryOverflow)?;
-        if idx == u32::MAX {
-            return Err(ColumnarError::DictionaryOverflow);
+        let idx = match self.dict_index.get(&**ua) {
+            Some(&idx) => idx,
+            None => {
+                let idx = u32::try_from(self.dict.len())
+                    .map_err(|_| ColumnarError::DictionaryOverflow)?;
+                if idx == u32::MAX {
+                    return Err(ColumnarError::DictionaryOverflow);
+                }
+                // One entry per distinct user agent in the shard being
+                // built, so at most its row count; `clear` empties every
+                // map per shard.
+                // oat-lint: allow(bounded-memory) -- per-shard dictionary, see above
+                self.dict.push(Arc::clone(ua));
+                // oat-lint: allow(bounded-memory) -- as above: mirrors `dict`, emptied per shard
+                self.dict_index.insert(Arc::clone(ua), idx);
+                idx
+            }
+        };
+        // Capped, so rows that each bring their own allocation cannot keep
+        // a shard's worth of strings alive; past the cap they take the
+        // by-value lookup above.
+        if self.by_alloc.len() < MAX_ALLOCATIONS {
+            // oat-lint: allow(bounded-memory) -- at most MAX_ALLOCATIONS entries, emptied per shard
+            self.by_alloc.insert(addr, (Arc::clone(ua), idx));
         }
-        // One entry per distinct user agent in the shard being built, so at
-        // most its row count; `clear` empties both maps per shard.
-        // oat-lint: allow(bounded-memory) -- per-shard dictionary, see above
-        self.dict.push(Arc::clone(ua));
-        // oat-lint: allow(bounded-memory) -- as above: mirrors `dict`, emptied per shard
-        self.dict_index.insert(Arc::clone(ua), idx);
         Ok(idx)
     }
 
-    fn put(&mut self, col: usize, bytes: &[u8]) {
+    /// Appends a `W`-byte cell per item of `cells` to column `col`.
+    fn put_cells<const W: usize>(
+        &mut self,
+        col: usize,
+        cells: impl ExactSizeIterator<Item = [u8; W]>,
+    ) {
         if let Some(buf) = self.cols.get_mut(col) {
-            buf.extend_from_slice(bytes);
+            for (dst, cell) in grow_cells::<W>(buf, cells.len()).zip(cells) {
+                dst.copy_from_slice(&cell);
+            }
         } else {
             debug_assert!(false, "column index {col} out of range");
         }
     }
+}
 
-    fn put_u64(&mut self, col: usize, v: u64) {
-        self.put(col, &v.to_le_bytes());
+impl ColumnBuilder<Request> {
+    /// Appends rows of opened request shards: `rows[k] = (shard, row)`
+    /// names row `row` of `shards[shard]`. The bytes are those that
+    /// pushing the decoded rows in order would append, but no row is
+    /// decoded: each column is copied cell by cell, and each shard's
+    /// user-agent indexes are remapped into this builder's dictionary
+    /// through a table per shard, filled in row order so that entries stay
+    /// first-seen. Coded cells are copied as they are, so the shards must
+    /// be ones [`ColumnarShard::open`] or [`ColumnarShard::from_segment`]
+    /// has checked.
+    ///
+    /// # Errors
+    ///
+    /// [`ColumnarError::Corrupt`], with nothing appended, when a location
+    /// names no row; [`ColumnarError::DictionaryOverflow`] as
+    /// [`ColumnBuilder::push`], after which the builder holds a partial
+    /// row set and must be dropped.
+    pub fn gather(
+        &mut self,
+        shards: &[ColumnarShard],
+        rows: &[(u32, u32)],
+    ) -> Result<(), ColumnarError> {
+        let located = |&(s, row): &(u32, u32)| {
+            shards
+                .get(s as usize)
+                .is_some_and(|shard| (row as usize) < shard.rows())
+        };
+        if !rows.iter().all(located) {
+            return Err(ColumnarError::Corrupt {
+                what: "gathered row outside its shard",
+            });
+        }
+        for (col, &width) in REQUEST_WIDTHS.iter().enumerate() {
+            if col == UA_COL {
+                continue;
+            }
+            let srcs = shards
+                .iter()
+                .map(|shard| shard.col_bytes(col))
+                .collect::<Result<Vec<_>, _>>()?;
+            let Some(dst) = self.cols.get_mut(col) else {
+                continue;
+            };
+            match width {
+                8 => gather_cells::<8>(dst, &srcs, rows)?,
+                4 => gather_cells::<4>(dst, &srcs, rows)?,
+                2 => gather_cells::<2>(dst, &srcs, rows)?,
+                _ => gather_cells::<1>(dst, &srcs, rows)?,
+            }
+        }
+        self.gather_agents(shards, rows)?;
+        // The zone map, from the cells just appended.
+        let appended = |col: usize, width: usize| {
+            self.cols
+                .get(col)
+                .and_then(|col| col.get(self.rows * width..))
+                .unwrap_or_default()
+        };
+        let timestamps = u64_cells(appended(0, 8));
+        let publishers = cells::<2>(appended(6, 2)).map(u16::from_le_bytes);
+        let mut zone = self.zone;
+        for (timestamp, publisher) in timestamps.zip(publishers) {
+            zone.observe(timestamp, PublisherId::new(publisher));
+        }
+        self.zone = zone;
+        self.rows += rows.len();
+        Ok(())
     }
 
-    fn put_u32(&mut self, col: usize, v: u32) {
-        self.put(col, &v.to_le_bytes());
+    /// [`ColumnBuilder::gather`]'s user-agent column: each shard's index
+    /// remapped into this builder's dictionary, in row order.
+    fn gather_agents(
+        &mut self,
+        shards: &[ColumnarShard],
+        rows: &[(u32, u32)],
+    ) -> Result<(), ColumnarError> {
+        const UNSEEN: u32 = u32::MAX;
+        // Per shard: its index column, its dictionary, and the builder's
+        // index for each of its entries met so far.
+        let mut sources = shards
+            .iter()
+            .map(|shard| {
+                let remap = vec![UNSEEN; shard.dict.len()];
+                Ok((shard.col_bytes(UA_COL)?, shard.dict.as_slice(), remap))
+            })
+            .collect::<Result<Vec<_>, ColumnarError>>()?;
+        let mut ids = Vec::with_capacity(rows.len());
+        for &(s, row) in rows {
+            let (col, dict, remap) = sources.get_mut(s as usize).ok_or(ColumnarError::Corrupt {
+                what: "gathered row outside its shard",
+            })?;
+            let idx = read_u32(col, row as usize * 4)?;
+            let unknown = || invalid(u64::from(row), "user_agent", idx);
+            let slot = remap.get_mut(idx as usize).ok_or_else(unknown)?;
+            if *slot == UNSEEN {
+                // `intern_user_agent` never hands out `UNSEEN`.
+                *slot = self.intern_user_agent(dict.get(idx as usize).ok_or_else(unknown)?)?;
+            }
+            ids.push(*slot);
+        }
+        self.put_cells(UA_COL, ids.iter().map(|id| id.to_le_bytes()));
+        Ok(())
     }
+}
 
-    fn put_u16(&mut self, col: usize, v: u16) {
-        self.put(col, &v.to_le_bytes());
-    }
+/// Grows `buf` by `cells` zeroed `W`-byte cells and returns them, to be
+/// filled in place: one resize instead of a capacity check per cell.
+fn grow_cells<const W: usize>(
+    buf: &mut Vec<u8>,
+    cells: usize,
+) -> std::slice::ChunksExactMut<'_, u8> {
+    let old = buf.len();
+    buf.resize(old + cells * W, 0);
+    buf.get_mut(old..).unwrap_or_default().chunks_exact_mut(W)
+}
 
-    fn put_i32(&mut self, col: usize, v: i32) {
-        self.put(col, &v.to_le_bytes());
+/// Appends the `W`-byte cell of every location in `rows` to `dst`, in
+/// order: `rows[k] = (source, row)` names cell `row` of `srcs[source]`.
+fn gather_cells<const W: usize>(
+    dst: &mut Vec<u8>,
+    srcs: &[&[u8]],
+    rows: &[(u32, u32)],
+) -> Result<(), ColumnarError> {
+    for (out, &(s, row)) in grow_cells::<W>(dst, rows.len()).zip(rows) {
+        let at = row as usize * W;
+        let cell = srcs
+            .get(s as usize)
+            .and_then(|src| src.get(at..at + W))
+            .ok_or(ColumnarError::Corrupt {
+                what: "gathered cell outside its column",
+            })?;
+        out.copy_from_slice(cell);
     }
-
-    fn put_u8(&mut self, col: usize, v: u8) {
-        self.put(col, &[v]);
-    }
+    Ok(())
 }
 
 /// The user-agent index column.
 const UA_COL: usize = 8;
+
+/// Most allocations a [`ColumnBuilder`] remembers by address.
+const MAX_ALLOCATIONS: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Row codecs.
@@ -625,6 +780,18 @@ fn format_from_code(code: u8) -> Option<FileFormat> {
     FileFormat::ALL.get(code as usize).copied()
 }
 
+/// A request kind's wire code and its `(kind_offset, kind_length)` cells.
+fn kind_cells(kind: RequestKind) -> (u8, u64, u64) {
+    match kind {
+        RequestKind::Full => (KIND_FULL, 0, 0),
+        RequestKind::Range { offset, length } => (KIND_RANGE, offset, length),
+        RequestKind::Conditional => (KIND_CONDITIONAL, 0, 0),
+        RequestKind::InvalidRange => (KIND_INVALID_RANGE, 0, 0),
+        RequestKind::Hotlink => (KIND_HOTLINK, 0, 0),
+        RequestKind::Beacon => (KIND_BEACON, 0, 0),
+    }
+}
+
 /// Stable wire codes for [`RequestKind`] discriminants.
 const KIND_FULL: u8 = 0;
 const KIND_RANGE: u8 = 1;
@@ -632,15 +799,6 @@ const KIND_CONDITIONAL: u8 = 2;
 const KIND_INVALID_RANGE: u8 = 3;
 const KIND_HOTLINK: u8 = 4;
 const KIND_BEACON: u8 = 5;
-
-/// The coded cells of one [`Schema::Request`] row, decoded.
-struct RequestCodes {
-    format: FileFormat,
-    region: Region,
-    incognito: bool,
-    kind: RequestKind,
-    user_agent: u32,
-}
 
 fn invalid(row: u64, field: &'static str, value: impl Into<u64>) -> ColumnarError {
     ColumnarError::InvalidValue {
@@ -650,32 +808,48 @@ fn invalid(row: u64, field: &'static str, value: impl Into<u64>) -> ColumnarErro
     }
 }
 
-/// Checks a user-agent index against the dictionary length.
-fn check_user_agent(row: u64, idx: u32, dict_len: usize) -> Result<u32, ColumnarError> {
-    if (idx as usize) < dict_len {
-        Ok(idx)
-    } else {
-        Err(invalid(row, "user_agent", idx))
-    }
+/// The cells of a `W`-byte column, in row order.
+fn cells<const W: usize>(col: &[u8]) -> impl Iterator<Item = [u8; W]> + Clone + '_ {
+    col.chunks_exact(W)
+        .map(|cell| <[u8; W]>::try_from(cell).unwrap_or([0; W]))
 }
 
-/// Decodes and validates the coded cells of request row `i` of `shard`.
-fn request_codes(shard: &ColumnarShard, i: usize) -> Result<RequestCodes, ColumnarError> {
-    let row = i as u64;
-    let format_raw = shard.u8_at(9, i)?;
-    let format = format_from_code(format_raw).ok_or_else(|| invalid(row, "format", format_raw))?;
-    let region_raw = shard.u8_at(10, i)?;
-    let region = Region::from_code(region_raw).ok_or_else(|| invalid(row, "region", region_raw))?;
-    let incognito = match shard.u8_at(11, i)? {
+/// The values of a little-endian `u64` column, in row order.
+fn u64_cells(col: &[u8]) -> impl Iterator<Item = u64> + Clone + '_ {
+    cells::<8>(col).map(u64::from_le_bytes)
+}
+
+/// Checks every user-agent index of `col` against the dictionary
+/// length, in one pass.
+fn check_agents(col: &[u8], dict_len: usize) -> Result<(), ColumnarError> {
+    for (row, idx) in (0u64..).zip(cells::<4>(col).map(u32::from_le_bytes)) {
+        if idx as usize >= dict_len {
+            return Err(invalid(row, "user_agent", idx));
+        }
+    }
+    Ok(())
+}
+
+/// The coded cells of one request row, decoded in field order (format,
+/// region, incognito, kind), so a row with several bad cells reports the
+/// first. `range` is the row's `(kind_offset, kind_length)`.
+fn decode_codes(
+    row: u64,
+    [format, region, incognito, kind]: [u8; 4],
+    range: (u64, u64),
+) -> Result<(FileFormat, Region, bool, RequestKind), ColumnarError> {
+    let format = format_from_code(format).ok_or_else(|| invalid(row, "format", format))?;
+    let region = Region::from_code(region).ok_or_else(|| invalid(row, "region", region))?;
+    let incognito = match incognito {
         0 => false,
         1 => true,
         other => return Err(invalid(row, "incognito", other)),
     };
-    let kind = match shard.u8_at(12, i)? {
+    let kind = match kind {
         KIND_FULL => RequestKind::Full,
         KIND_RANGE => RequestKind::Range {
-            offset: shard.u64_at(3, i)?,
-            length: shard.u64_at(4, i)?,
+            offset: range.0,
+            length: range.1,
         },
         KIND_CONDITIONAL => RequestKind::Conditional,
         KIND_INVALID_RANGE => RequestKind::InvalidRange,
@@ -683,68 +857,106 @@ fn request_codes(shard: &ColumnarShard, i: usize) -> Result<RequestCodes, Column
         KIND_BEACON => RequestKind::Beacon,
         other => return Err(invalid(row, "kind", other)),
     };
-    let user_agent = check_user_agent(row, shard.u32_at(UA_COL, i)?, shard.dict.len())?;
-    Ok(RequestCodes {
-        format,
-        region,
-        incognito,
-        kind,
-        user_agent,
-    })
+    Ok((format, region, incognito, kind))
+}
+
+/// The four coded columns of a request shard (format, region, incognito,
+/// kind), zipped into one iterator of each row's cells.
+fn code_cells<'a>(cols: [&'a [u8]; 4]) -> impl Iterator<Item = [u8; 4]> + 'a {
+    let [format, region, incognito, kind] = cols;
+    format
+        .iter()
+        .zip(region)
+        .zip(incognito)
+        .zip(kind)
+        .map(|(((&f, &r), &i), &k)| [f, r, i, k])
 }
 
 impl ColumnarRow for Request {
     const SCHEMA: Schema = Schema::Request;
 
-    fn append_to(&self, b: &mut ColumnBuilder<Self>) -> Result<(), ColumnarError> {
-        let ua = b.intern_user_agent(&self.user_agent)?;
-        let (kind, kind_offset, kind_length) = match self.kind {
-            RequestKind::Full => (KIND_FULL, 0, 0),
-            RequestKind::Range { offset, length } => (KIND_RANGE, offset, length),
-            RequestKind::Conditional => (KIND_CONDITIONAL, 0, 0),
-            RequestKind::InvalidRange => (KIND_INVALID_RANGE, 0, 0),
-            RequestKind::Hotlink => (KIND_HOTLINK, 0, 0),
-            RequestKind::Beacon => (KIND_BEACON, 0, 0),
-        };
-        b.put_u64(0, self.timestamp);
-        b.put_u64(1, self.object.raw());
-        b.put_u64(2, self.object_size);
-        b.put_u64(3, kind_offset);
-        b.put_u64(4, kind_length);
-        b.put_u64(5, self.user.raw());
-        b.put_u16(6, self.publisher.raw());
-        b.put_i32(7, self.tz_offset_secs);
-        b.put_u32(8, ua);
-        b.put_u8(9, format_code(self.format));
-        b.put_u8(10, self.region.code());
-        b.put_u8(11, u8::from(self.incognito));
-        b.put_u8(12, kind);
+    fn append_batch(rows: &[Self], b: &mut ColumnBuilder<Self>) -> Result<(), ColumnarError> {
+        // Agents first: the rows before one that finds the dictionary full
+        // are the rows appended.
+        let mut ids = Vec::with_capacity(rows.len());
+        let mut full = Ok(());
+        for row in rows {
+            match b.intern_user_agent(&row.user_agent) {
+                Ok(id) => ids.push(id),
+                Err(e) => {
+                    full = Err(e);
+                    break;
+                }
+            }
+        }
+        let rows = rows.get(..ids.len()).unwrap_or_default();
+        let kinds = || rows.iter().map(|r| kind_cells(r.kind));
+        b.put_cells(0, rows.iter().map(|r| r.timestamp.to_le_bytes()));
+        b.put_cells(1, rows.iter().map(|r| r.object.raw().to_le_bytes()));
+        b.put_cells(2, rows.iter().map(|r| r.object_size.to_le_bytes()));
+        b.put_cells(3, kinds().map(|(_, offset, _)| offset.to_le_bytes()));
+        b.put_cells(4, kinds().map(|(_, _, length)| length.to_le_bytes()));
+        b.put_cells(5, rows.iter().map(|r| r.user.raw().to_le_bytes()));
+        b.put_cells(6, rows.iter().map(|r| r.publisher.raw().to_le_bytes()));
+        b.put_cells(7, rows.iter().map(|r| r.tz_offset_secs.to_le_bytes()));
+        b.put_cells(UA_COL, ids.iter().map(|id| id.to_le_bytes()));
+        b.put_cells(9, rows.iter().map(|r| [format_code(r.format)]));
+        b.put_cells(10, rows.iter().map(|r| [r.region.code()]));
+        b.put_cells(11, rows.iter().map(|r| [u8::from(r.incognito)]));
+        b.put_cells(12, kinds().map(|(kind, _, _)| [kind]));
+        for row in rows {
+            b.zone.observe(row.timestamp, row.publisher);
+        }
+        b.rows += rows.len();
+        full
+    }
+
+    fn read_batch(
+        shard: &ColumnarShard,
+        rows: Range<usize>,
+        out: &mut Vec<Self>,
+    ) -> Result<(), ColumnarError> {
+        // Each column's slice of the batch is fetched once; the rows are
+        // then read off all thirteen in step.
+        let [timestamp, object, object_size, kind_offset, kind_length, user, publisher, tz_offset, user_agent, format, region, incognito, kind] =
+            shard.columns(rows.clone())?;
+        let keys = u64_cells(timestamp)
+            .zip(u64_cells(object))
+            .zip(u64_cells(object_size))
+            .zip(u64_cells(user));
+        let small = cells::<2>(publisher)
+            .zip(cells::<4>(tz_offset))
+            .zip(cells::<4>(user_agent));
+        let coded = code_cells([format, region, incognito, kind])
+            .zip(u64_cells(kind_offset).zip(u64_cells(kind_length)));
+        out.reserve(rows.len());
+        for (row, ((keys, small), (codes, range))) in
+            (rows.start as u64..).zip(keys.zip(small).zip(coded))
+        {
+            let (((timestamp, object), object_size), user) = keys;
+            let ((publisher, tz_offset), ua) = small;
+            let (format, region, incognito, kind) = decode_codes(row, codes, range)?;
+            let ua = u32::from_le_bytes(ua);
+            let user_agent = shard
+                .dict
+                .get(ua as usize)
+                .cloned()
+                .ok_or_else(|| invalid(row, "user_agent", ua))?;
+            out.push(Request {
+                timestamp,
+                publisher: PublisherId::new(u16::from_le_bytes(publisher)),
+                object: ObjectId::new(object),
+                format,
+                object_size,
+                user: UserId::new(user),
+                user_agent,
+                region,
+                tz_offset_secs: i32::from_le_bytes(tz_offset),
+                incognito,
+                kind,
+            });
+        }
         Ok(())
-    }
-
-    fn read_row(shard: &ColumnarShard, i: usize) -> Result<Self, ColumnarError> {
-        let codes = request_codes(shard, i)?;
-        Ok(Request {
-            timestamp: shard.u64_at(0, i)?,
-            publisher: PublisherId::new(shard.u16_at(6, i)?),
-            object: ObjectId::new(shard.u64_at(1, i)?),
-            format: codes.format,
-            object_size: shard.u64_at(2, i)?,
-            user: UserId::new(shard.u64_at(5, i)?),
-            user_agent: shard.user_agent(i, codes.user_agent)?,
-            region: codes.region,
-            tz_offset_secs: shard.i32_at(7, i)?,
-            incognito: codes.incognito,
-            kind: codes.kind,
-        })
-    }
-
-    fn row_timestamp(&self) -> u64 {
-        self.timestamp
-    }
-
-    fn row_publisher(&self) -> PublisherId {
-        self.publisher
     }
 }
 
@@ -782,9 +994,7 @@ impl ColumnarShard {
         let shard = ColumnarShard { bytes, meta, dict };
         // Every user-agent index must resolve; checking once here keeps the
         // per-row decode path panic- and surprise-free.
-        for i in 0..shard.meta.rows {
-            check_user_agent(i as u64, shard.u32_at(UA_COL, i)?, shard.dict.len())?;
-        }
+        check_agents(shard.col_bytes(UA_COL)?, shard.dict.len())?;
         Ok(shard)
     }
 
@@ -792,7 +1002,10 @@ impl ColumnarShard {
     /// [`ColumnBuilder::write_segment_to`] with the same `agents` table.
     /// Every byte is covered by the segment's checksum, and every
     /// user-agent index is checked, as [`ColumnarShard::open`] does a
-    /// shard's.
+    /// shard's. Every coded cell (format, region, incognito, kind) is
+    /// checked too, with the error [`ColumnarShard::read_rows`] would
+    /// report, because [`ColumnBuilder::gather`] copies cells without
+    /// decoding them.
     ///
     /// # Errors
     ///
@@ -854,8 +1067,10 @@ impl ColumnarShard {
             },
         };
         let shard = ColumnarShard { bytes, meta, dict };
-        for i in 0..rows {
-            check_user_agent(i as u64, shard.u32_at(UA_COL, i)?, shard.dict.len())?;
+        check_agents(shard.col_bytes(UA_COL)?, shard.dict.len())?;
+        let [.., format, region, incognito, kind] = shard.columns(0..rows)?;
+        for (row, codes) in (0u64..).zip(code_cells([format, region, incognito, kind])) {
+            decode_codes(row, codes, (0, 0))?;
         }
         Ok(shard)
     }
@@ -889,6 +1104,12 @@ impl ColumnarShard {
 
     /// Raw bytes of column `col` (validated at open).
     fn col_bytes(&self, col: usize) -> Result<&[u8], ColumnarError> {
+        self.col_rows(col, 0..self.meta.rows)
+    }
+
+    /// Raw bytes of column `col` for rows `rows`, which lie within the
+    /// shard.
+    fn col_rows(&self, col: usize, rows: Range<usize>) -> Result<&[u8], ColumnarError> {
         let width = self
             .meta
             .schema
@@ -900,39 +1121,40 @@ impl ColumnarShard {
             })?;
         let off = self.meta.col_offsets.get(col).copied().unwrap_or(0);
         self.bytes
-            .get(off..off + self.meta.rows * width)
+            .get(off + rows.start * width..off + rows.end * width)
             .ok_or(ColumnarError::Corrupt {
                 what: "column bytes out of range",
             })
     }
 
-    fn u64_at(&self, col: usize, i: usize) -> Result<u64, ColumnarError> {
-        read_u64(self.col_bytes(col)?, i * 8)
+    /// Every column's bytes for rows `rows`, which lie within the shard,
+    /// in [`Schema::Request`] column order.
+    fn columns(&self, rows: Range<usize>) -> Result<[&[u8]; REQUEST_WIDTHS.len()], ColumnarError> {
+        let mut cols = [&[][..]; REQUEST_WIDTHS.len()];
+        for (c, col) in cols.iter_mut().enumerate() {
+            *col = self.col_rows(c, rows.clone())?;
+        }
+        Ok(cols)
     }
 
-    fn u8_at(&self, col: usize, i: usize) -> Result<u8, ColumnarError> {
-        read_u8(self.col_bytes(col)?, i)
-    }
-
-    fn u16_at(&self, col: usize, i: usize) -> Result<u16, ColumnarError> {
-        read_u16(self.col_bytes(col)?, i * 2)
-    }
-
-    fn u32_at(&self, col: usize, i: usize) -> Result<u32, ColumnarError> {
-        read_u32(self.col_bytes(col)?, i * 4)
-    }
-
-    fn i32_at(&self, col: usize, i: usize) -> Result<i32, ColumnarError> {
-        Ok(self.u32_at(col, i)? as i32)
-    }
-
-    /// Dictionary entry `idx`, for row `i`: a shared handle, so every row
-    /// with one index holds one allocation.
-    fn user_agent(&self, i: usize, idx: u32) -> Result<Arc<str>, ColumnarError> {
-        self.dict
-            .get(idx as usize)
-            .cloned()
-            .ok_or_else(|| invalid(i as u64, "user_agent", idx))
+    /// The `(timestamp, user, object)` key of every row, in row order:
+    /// the key the trace is ordered by, read from three columns without
+    /// decoding the rows.
+    ///
+    /// # Errors
+    ///
+    /// [`ColumnarError::Corrupt`] when the shard's columns are out of
+    /// range.
+    pub fn request_keys(
+        &self,
+    ) -> Result<impl Iterator<Item = (u64, u64, u64)> + Clone + '_, ColumnarError> {
+        let timestamp = u64_cells(self.col_bytes(0)?);
+        let user = u64_cells(self.col_bytes(5)?);
+        let object = u64_cells(self.col_bytes(1)?);
+        Ok(timestamp
+            .zip(user)
+            .zip(object)
+            .map(|((timestamp, user), object)| (timestamp, user, object)))
     }
 
     /// Materializes rows `range` (clamped to the shard) into `out`,
@@ -953,12 +1175,9 @@ impl ColumnarShard {
                 found: self.meta.schema,
             });
         }
-        let start = range.start.min(self.meta.rows);
         let end = range.end.min(self.meta.rows);
-        for i in start..end {
-            out.push(T::read_row(self, i)?);
-        }
-        Ok(())
+        let start = range.start.min(end);
+        T::read_batch(self, start..end, out)
     }
 }
 
@@ -1076,17 +1295,6 @@ fn read_u8(data: &[u8], at: usize) -> Result<u8, ColumnarError> {
     data.get(at).copied().ok_or(ColumnarError::Corrupt {
         what: "read past end of shard",
     })
-}
-
-fn read_u16(data: &[u8], at: usize) -> Result<u16, ColumnarError> {
-    let b = data
-        .get(at..at.checked_add(2).ok_or(OVERFLOW)?)
-        .ok_or(ColumnarError::Corrupt {
-            what: "read past end of shard",
-        })?;
-    let mut a = [0u8; 2];
-    a.copy_from_slice(b);
-    Ok(u16::from_le_bytes(a))
 }
 
 fn read_u32(data: &[u8], at: usize) -> Result<u32, ColumnarError> {
@@ -1846,6 +2054,44 @@ mod tests {
         for (entry, row) in dict.iter().zip(&requests) {
             assert!(Arc::ptr_eq(entry, &row.user_agent));
         }
+    }
+
+    #[test]
+    fn interning_by_allocation_survives_a_reused_address() {
+        // Equal agents through distinct `Arc`s, and between pushes an
+        // `Arc` dropped and a different agent of the same length
+        // allocated, which the allocator may place at the freed address.
+        let row = |agent: &Arc<str>| Request {
+            user_agent: Arc::clone(agent),
+            ..Request::example()
+        };
+        let names = ["agent-a", "agent-b", "agent-c", "agent-d"];
+        let mut fed = ColumnBuilder::<Request>::new();
+        let mut pushed = Vec::new();
+        for round in 0..8 {
+            for (i, name) in names.iter().enumerate() {
+                let agent: Arc<str> = Arc::from(*name);
+                fed.push(&row(&agent)).unwrap();
+                pushed.push(*name);
+                if (round + i) % 2 == 0 {
+                    // Only the builder may still hold this allocation.
+                    drop(agent);
+                    let other: Arc<str> = Arc::from(names[(i + 1) % names.len()]);
+                    fed.push(&row(&other)).unwrap();
+                    pushed.push(names[(i + 1) % names.len()]);
+                }
+            }
+        }
+        let shared: Vec<Arc<str>> = names.iter().map(|&name| Arc::from(name)).collect();
+        let mut single = ColumnBuilder::<Request>::new();
+        for name in &pushed {
+            let agent = shared.iter().find(|a| &***a == *name).unwrap();
+            single.push(&row(agent)).unwrap();
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        fed.write_to(&mut a).unwrap();
+        single.write_to(&mut b).unwrap();
+        assert!(a == b, "an agent was interned under another's address");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Crate-wide typed error for log IO.
 //!
 //! The codecs keep their own precise error types
-//! ([`TextDecodeError`](crate::codec::text::TextDecodeError),
-//! [`ColumnarError`](crate::codec::columnar::ColumnarError));
+//! ([`TextDecodeError`],
+//! [`ColumnarError`]);
 //! [`HttplogError`] is the union the text-log readers, the columnar shard
 //! directories and the spool manifests propagate, so callers can
 //! distinguish "the disk failed" from "the record is malformed" without

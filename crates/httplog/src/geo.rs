@@ -48,7 +48,6 @@ impl Region {
     }
 
     /// Inverse of [`Region::code`].
-    // oat-lint: allow(dead-api) -- decodes the region column in `Request::read_row`, which the call graph reaches only through the `ColumnarRow` trait
     pub const fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(Region::NorthAmerica),

@@ -184,7 +184,7 @@ pub struct CallEdge {
 pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     pub edges: Vec<CallEdge>,
-    /// Adjacency: callees[i] lists (node, call-site line) pairs.
+    /// Adjacency: `callees[i]` lists (node, call-site line) pairs.
     pub callees: Vec<Vec<(usize, usize)>>,
     /// Reverse adjacency, for [`CallGraph::reaching`].
     #[cfg_attr(not(test), allow(dead_code))]
@@ -320,7 +320,7 @@ impl CallGraph {
 
     /// Nodes from which any of `seeds` is reachable (callers closure,
     /// inclusive), skipping test fns. The backward counterpart of
-    /// [`CallGraph::reachable`]; kept as public API for passes that walk
+    /// [`CallGraph::reachable_from`]; kept as public API for passes that walk
     /// from sinks instead of entries.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn reaching(&self, seeds: impl IntoIterator<Item = usize>) -> Vec<bool> {

@@ -10,7 +10,7 @@
 //!    every thread count.
 //! 3. [Agglomerative hierarchical clustering](hierarchical) over the
 //!    [condensed distance matrix](matrix) yields a dendrogram.
-//! 4. Each cluster is summarized by its [medoid](medoid) (read off the
+//! 4. Each cluster is summarized by its [medoid](mod@medoid) (read off the
 //!    matrix) and a point-wise standard-deviation envelope; the cut's
 //!    [silhouette](silhouette()) scores how well it separates the trends.
 //! 5. Medoids are [labelled](trend) as diurnal / long-lived / short-lived /

@@ -1,19 +1,26 @@
 //! Time ordering of the trace, for both generators.
 //!
-//! Both generators cut the trace window into equal-width [`TimeSlices`]
-//! and split every shard's unsorted output into one exactly sized piece
-//! per slice. [`sort_slice`] sorts one slice with a stable counting sort
-//! on the timestamp — a histogram per bucket, prefix sums, and a scatter
-//! of each request's location in shard order and then generation order,
-//! after which every request moves once, in bucket order, into the
-//! output — followed by a stable sort of every bucket holding more than
-//! one row on the full `(timestamp, user, object)` key.
+//! Both generators cut the trace window into equal-width time slices
+//! (`TimeSlices`) and split every shard's unsorted output into one exactly
+//! sized piece per slice. A slice is sorted with a stable counting sort on
+//! the timestamp — a histogram per bucket, prefix sums, and a scatter of
+//! every row, in piece order and then row order, to its bucket — followed
+//! by a stable sort of every bucket holding more than one row on the full
+//! `(timestamp, user, object)` key. The one bucket scatter serves two
+//! callers:
 //!
-//! The in-memory generator ([`crate::generator::generate_with`]) cuts one
-//! slice per worker and [`order_slices`] sorts each on its own worker and
-//! concatenates them. The spool generator ([`crate::pargen`]) cuts slices
-//! small enough to sort a few at a time, spills their pieces to disk, and
-//! sorts and writes them slice by slice.
+//! - `sort_slice` sorts in-memory requests. It scatters `(piece, row)`
+//!   locations, moves every request once, in bucket order, into the
+//!   output, and sorts the buckets by each request's key. The in-memory
+//!   generator ([`crate::generator::generate_with`]) cuts one slice per
+//!   worker, and [`order_slices`] sorts each on its own worker and
+//!   concatenates them.
+//! - `sort_segments` sorts the spool generator's spilled columnar segments
+//!   ([`crate::pargen`]). It scatters every row's key, read from the
+//!   segments' timestamp, user and object columns, together with the row's
+//!   location, sorts the buckets by key and returns the locations. No row
+//!   is decoded: the spool generator gathers the cells of the sorted rows
+//!   straight into its output shards.
 //!
 //! Timestamps are whole seconds, so a bucket is one second wide unless a
 //! slice spans more seconds than it has rows; then buckets are `2^k`
@@ -22,7 +29,7 @@
 //! concatenated in task order, independent of shard size and thread
 //! count.
 
-use oat_httplog::Request;
+use oat_httplog::{ColumnarError, ColumnarShard, Request};
 
 /// The key the trace is ordered by.
 pub(crate) fn sort_key(request: &Request) -> (u64, u64, u64) {
@@ -96,15 +103,23 @@ pub fn order_slices(slices: Vec<Vec<Vec<Request>>>) -> Vec<Request> {
     ordered
 }
 
-/// Stable-sorts one slice's pieces, taken in order, by [`sort_key`] into
-/// a vector with room for at least `capacity` requests.
-pub(crate) fn sort_slice(pieces: Vec<Vec<Request>>, capacity: usize) -> Vec<Request> {
-    let len: usize = pieces.iter().map(Vec::len).sum();
-    let Some((min, max)) = pieces.iter().flatten().fold(None, |range, r| {
-        let (lo, hi) = range.unwrap_or((r.timestamp, r.timestamp));
-        Some((lo.min(r.timestamp), hi.max(r.timestamp)))
-    }) else {
-        return Vec::with_capacity(capacity);
+/// Buckets one slice's rows by timestamp: the histogram, prefix sums and
+/// scatter of a stable counting sort. `rows(p)` yields piece `p`'s rows in
+/// row order as `(timestamp, item)`; it is called three times per piece.
+/// Returns the items in bucket order — within a bucket, in piece order and
+/// then row order — and one past each bucket's last place.
+fn bucket_scatter<T, I>(pieces: usize, rows: impl Fn(usize) -> I) -> (Vec<T>, Vec<usize>)
+where
+    T: Copy + Default,
+    I: Iterator<Item = (u64, T)>,
+{
+    let all = || (0..pieces).flat_map(&rows);
+    let (len, range) = all().fold((0usize, None), |(len, range), (timestamp, _)| {
+        let (lo, hi) = range.unwrap_or((timestamp, timestamp));
+        (len + 1, Some((timestamp.min(lo), timestamp.max(hi))))
+    });
+    let Some((min, max)) = range else {
+        return (Vec::new(), Vec::new());
     };
     // The smallest bucket width 2^shift that leaves no more buckets than
     // rows: `span >> shift < len`.
@@ -116,8 +131,8 @@ pub(crate) fn sort_slice(pieces: Vec<Vec<Request>>, capacity: usize) -> Vec<Requ
     // `ends[b]` starts as bucket `b`'s first place in the sorted slice
     // and ends one past its last once the scatter has filled it.
     let mut ends = vec![0; bucket(max) + 1];
-    for request in pieces.iter().flatten() {
-        ends[bucket(request.timestamp)] += 1;
+    for (timestamp, _) in all() {
+        ends[bucket(timestamp)] += 1;
     }
     let mut start = 0;
     for end in &mut ends {
@@ -125,23 +140,52 @@ pub(crate) fn sort_slice(pieces: Vec<Vec<Request>>, capacity: usize) -> Vec<Requ
         *end = start;
         start += count;
     }
-    // Scatter `(piece, row)` locations rather than the requests, then
-    // move each request once, in sorted order, out of its piece. A
-    // location is two `u32`s, which keeps the array at 8 bytes a row; a
-    // piece of 2^32 rows would hold over 350 GiB of requests.
+    let mut items = vec![T::default(); len];
+    for (timestamp, item) in all() {
+        let at = &mut ends[bucket(timestamp)];
+        items[*at] = item;
+        *at += 1;
+    }
+    (items, ends)
+}
+
+/// Stable-sorts every bucket of `items` holding more than one row by
+/// `key`; `ends` is [`bucket_scatter`]'s.
+fn sort_buckets<T, K: Ord>(items: &mut [T], ends: &[usize], key: impl Fn(&T) -> K) {
+    let mut start = 0;
+    for &end in ends {
+        if let Some(bucket) = items.get_mut(start..end).filter(|b| b.len() > 1) {
+            bucket.sort_by_key(&key);
+        }
+        start = end;
+    }
+}
+
+/// Checks that every row of pieces of `lens` rows has a `(piece, row)`
+/// location of two `u32`s, which keeps a location at 8 bytes; a piece of
+/// 2^32 rows would hold over 250 GiB of rows.
+fn assert_locations_fit(lens: impl ExactSizeIterator<Item = usize>) {
     let fits = |n: usize| u32::try_from(n).is_ok();
+    let mut lens = lens;
     assert!(
-        fits(pieces.len()) && pieces.iter().all(|piece| fits(piece.len())),
+        fits(lens.len()) && lens.all(fits),
         "a slice piece has more rows than a u32 location addresses"
     );
-    let mut locations = vec![(0, 0); len];
-    for (p, piece) in (0u32..).zip(&pieces) {
-        for (row, request) in (0u32..).zip(piece) {
-            let at = &mut ends[bucket(request.timestamp)];
-            locations[*at] = (p, row);
-            *at += 1;
-        }
-    }
+}
+
+/// Stable-sorts one slice's pieces, taken in order, by [`sort_key`] into
+/// a vector with room for at least `capacity` requests. It scatters
+/// `(piece, row)` locations rather than the requests, then moves each
+/// request once, in bucket order, out of its piece.
+pub(crate) fn sort_slice(pieces: Vec<Vec<Request>>, capacity: usize) -> Vec<Request> {
+    assert_locations_fit(pieces.iter().map(Vec::len));
+    let (locations, ends) = bucket_scatter(pieces.len(), |p| {
+        let piece = pieces.get(p).map_or(&[][..], Vec::as_slice);
+        (0u32..)
+            .zip(piece)
+            .map(move |(row, request)| (request.timestamp, (p as u32, row)))
+    });
+    let len = locations.len();
     // Each piece becomes `Option` slots in place, in its own allocation.
     let mut slots: Vec<Vec<Option<Request>>> = pieces
         .into_iter()
@@ -156,20 +200,40 @@ pub(crate) fn sort_slice(pieces: Vec<Vec<Request>>, capacity: usize) -> Vec<Requ
     // A location that named no request, or one already taken, would drop
     // a request here and shift every figure.
     assert_eq!(sorted.len(), len, "the scatter lost a request");
-    let mut start = 0;
-    for end in ends {
-        if let Some(bucket) = sorted.get_mut(start..end).filter(|b| b.len() > 1) {
-            bucket.sort_by_key(sort_key);
-        }
-        start = end;
-    }
+    sort_buckets(&mut sorted, &ends, sort_key);
     sorted
+}
+
+/// The `(piece, row)` location of every row of one slice's spilled
+/// pieces, taken in order, in the order [`sort_slice`] puts those rows
+/// in: the same bucket scatter, reading only each segment's key columns
+/// ([`ColumnarShard::request_keys`]), and a stable sort of every bucket
+/// on the keys.
+///
+/// # Errors
+///
+/// [`ColumnarError::Corrupt`] when a segment's key columns are out of
+/// range.
+pub(crate) fn sort_segments(segments: &[ColumnarShard]) -> Result<Vec<(u32, u32)>, ColumnarError> {
+    assert_locations_fit(segments.iter().map(ColumnarShard::rows));
+    let keys = segments
+        .iter()
+        .map(ColumnarShard::request_keys)
+        .collect::<Result<Vec<_>, _>>()?;
+    let (mut keyed, ends) = bucket_scatter(keys.len(), |p| {
+        (0u32..)
+            .zip(keys.get(p).cloned().into_iter().flatten())
+            .map(move |(row, key)| (key.0, (key, (p as u32, row))))
+    });
+    sort_buckets(&mut keyed, &ends, |&(key, _)| key);
+    Ok(keyed.into_iter().map(|(_, location)| location).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oat_httplog::{ObjectId, UserId};
+    use oat_httplog::{ColumnBuilder, ObjectId, UserId};
+    use std::sync::Arc;
 
     /// A request told apart from its equal-key copies by `tag`.
     fn request(timestamp: u64, user: u64, object: u64, tag: u64) -> Request {
@@ -329,6 +393,65 @@ mod tests {
             let slices = TimeSlices::new(0, u64::MAX, 1);
             assert_eq!(order(&shards, &slices), stable_sort(&shards));
         }
+    }
+
+    /// Encodes one slice's pieces as spilled segments, sorts them with
+    /// `sort_segments` and returns the requests at the sorted locations.
+    fn sort_as_segments(pieces: &[Vec<Request>]) -> Vec<Request> {
+        let agents: Vec<Arc<str>> = vec![Request::example().user_agent];
+        let segments: Vec<ColumnarShard> = pieces
+            .iter()
+            .map(|piece| {
+                let mut builder = ColumnBuilder::<Request>::new();
+                builder.push_batch(piece).unwrap();
+                let mut bytes = Vec::new();
+                builder.write_segment_to(&mut bytes, &agents).unwrap();
+                ColumnarShard::from_segment(bytes, &agents).unwrap()
+            })
+            .collect();
+        sort_segments(&segments)
+            .unwrap()
+            .into_iter()
+            .map(|(p, row)| pieces[p as usize][row as usize].clone())
+            .collect()
+    }
+
+    #[test]
+    fn segments_sort_like_requests() {
+        // Colliding keys across pieces, every slice count, and the sparse
+        // slices of `sparse_slices_use_coarse_buckets`.
+        for seed in 0..12 {
+            let sizes = [40, 0, 170, 90, 1, 33];
+            let shards = shards(seed, &sizes[..1 + seed as usize % sizes.len()], 25);
+            for count in 1..=5 {
+                let slices = TimeSlices::new(0, 25, count);
+                let mut by_slice: Vec<Vec<Vec<Request>>> = vec![Vec::new(); count];
+                for shard in &shards {
+                    for (s, piece) in slices.split(shard.clone()).into_iter().enumerate() {
+                        by_slice[s].push(piece);
+                    }
+                }
+                for pieces in by_slice {
+                    let expected = sort_slice(pieces.clone(), 0);
+                    assert_eq!(
+                        sort_as_segments(&pieces),
+                        expected,
+                        "seed {seed}, {count} slices"
+                    );
+                }
+            }
+        }
+        let far = 1 << 40;
+        let sparse = vec![
+            vec![request(far + 1, 0, 0, 1), request(far, 5, 5, 2)],
+            vec![
+                request(far, 5, 5, 3),
+                request(0, 1, 1, 4),
+                request(1, 0, 0, 5),
+            ],
+        ];
+        assert_eq!(sort_as_segments(&sparse), sort_slice(sparse.clone(), 0));
+        assert!(sort_as_segments(&[Vec::new(), Vec::new()]).is_empty());
     }
 
     #[test]

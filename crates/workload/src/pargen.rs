@@ -11,8 +11,8 @@
 //!
 //! 1. **Spill.** Group `g` is the `(site, user-range)` tasks
 //!    `[64·g, 64·(g+1))`. A worker generates each task of its group, cuts
-//!    its requests unsorted into the time slices ([`TimeSlices::split`])
-//!    and appends each piece to its slice's column buffers. It then writes
+//!    its requests unsorted into the time slices and encodes each piece
+//!    into its slice's column buffers. It then writes
 //!    the group's slices back to back into one spill file
 //!    `.runs-<prefix>/group-NNNNNN.spill`, each as a columnar segment
 //!    ([`ColumnBuilder::write_segment_to`]) that names its user agents by
@@ -21,16 +21,20 @@
 //!    the segments' boundaries.
 //! 2. **Order and write.** Workers pull slices in time order. For a slice,
 //!    a worker reads its segment of every spill file, in group order, and
-//!    opens each ([`ColumnarShard::from_segment`]) — so every checksum and
-//!    user-agent index is verified, and a spill byte rotted on disk fails
-//!    the run instead of being re-checksummed into a valid-looking output
-//!    shard. It sorts the pieces ([`sort_slice`]) and hands every output
-//!    shard it touches its part. Output shard `j` holds global rows
-//!    `[j·R, (j+1)·R)` for `R = rows_per_shard`, the cut
-//!    [`oat_httplog::ColumnarDirWriter`] makes, so a shard can straddle
-//!    slices: each part is appended to the shard's builder, in row order,
-//!    by the worker that holds it, after waiting for the parts before it,
-//!    and the worker that appends the last row writes the shard.
+//!    opens each ([`ColumnarShard::from_segment`]) — so every checksum,
+//!    user-agent index and coded cell is verified, and a spill byte rotted
+//!    on disk fails the run instead of being re-checksummed into a
+//!    valid-looking output shard. No row is decoded. The worker sorts the
+//!    rows' `(segment, row)` locations by the segments' key columns, with
+//!    the bucket scatter the in-memory generator sorts requests with, and
+//!    hands every output shard it touches its part: a run of sorted
+//!    locations. Output shard `j` holds global rows `[j·R, (j+1)·R)` for
+//!    `R = rows_per_shard`, the cut [`oat_httplog::ColumnarDirWriter`]
+//!    makes, so a shard can straddle slices. Each part is gathered into the
+//!    shard's builder ([`ColumnBuilder::gather`]: column by column, cell by
+//!    cell, with user agents remapped into the shard's dictionary in row
+//!    order), by the worker that holds it, after waiting for the parts
+//!    before it. The worker that appends the last row writes the shard.
 //!
 //! The slices follow one another in time and each is the stable sort of
 //! its pieces in task order, so the spool is the stable sort of every
@@ -52,7 +56,7 @@ use crate::generator::{
     build_sites, generate_shard, shard_tasks, site_iats, target_records, ConfigError, GenOptions,
     TraceConfig,
 };
-use crate::order::{sort_slice, TimeSlices};
+use crate::order::{sort_segments, TimeSlices};
 use crate::users::UserProfile;
 use crate::Catalog;
 use oat_httplog::codec::columnar::VERSION as COLUMNAR_VERSION;
@@ -303,10 +307,10 @@ impl Spill {
         })
     }
 
-    /// Phase 2's input: slice `s`'s piece from every group, in group
+    /// Phase 2's input: slice `s`'s segment from every group, in group
     /// order, each read and verified.
-    fn read_slice(&self, s: usize) -> Result<Vec<Vec<Request>>, ColumnarError> {
-        let mut pieces = Vec::with_capacity(self.bounds_at.len());
+    fn read_slice(&self, s: usize) -> Result<Vec<ColumnarShard>, ColumnarError> {
+        let mut segments = Vec::with_capacity(self.bounds_at.len());
         for (g, &bounds_at) in self.bounds_at.iter().enumerate() {
             let mut file = std::fs::File::open(spill_path(&self.dir, g))?;
             file.seek(SeekFrom::Start(bounds_at + 8 * s as u64))?;
@@ -320,18 +324,15 @@ impl Spill {
             file.seek(SeekFrom::Start(start))?;
             let mut bytes = vec![0; (end - start) as usize];
             file.read_exact(&mut bytes)?;
-            let segment = ColumnarShard::from_segment(bytes, &self.agents)?;
-            let mut piece = Vec::with_capacity(segment.rows());
-            segment.read_rows(0..segment.rows(), &mut piece)?;
-            pieces.push(piece);
+            segments.push(ColumnarShard::from_segment(bytes, &self.agents)?);
         }
-        let rows: usize = pieces.iter().map(Vec::len).sum();
+        let rows: usize = segments.iter().map(ColumnarShard::rows).sum();
         if self.slice_rows.get(s) != Some(&(rows as u64)) {
             return Err(ColumnarError::Corrupt {
                 what: "spill slice row count",
             });
         }
-        Ok(pieces)
+        Ok(segments)
     }
 }
 
@@ -339,6 +340,14 @@ fn read_u64(file: &mut std::fs::File) -> std::io::Result<u64> {
     let mut bytes = [0; 8];
     file.read_exact(&mut bytes)?;
     Ok(u64::from_le_bytes(bytes))
+}
+
+/// Part of an output shard: sorted rows of one slice, named by their
+/// `(segment, row)` location in the slice's spilled segments.
+#[derive(Clone, Copy)]
+struct Part<'a> {
+    segments: &'a [ColumnarShard],
+    rows: &'a [(u32, u32)],
 }
 
 /// Phase 2's output side: the shard directory, and the shards whose
@@ -385,13 +394,7 @@ impl Output<'_> {
     /// own slice. A part waits only on earlier slices, which were handed
     /// out first, so the lowest waiting part can always go on. The worker
     /// that appends the last part writes the shard and returns its rows.
-    fn add_part(
-        &self,
-        s: usize,
-        j: u64,
-        first: u64,
-        part: &[Request],
-    ) -> Result<u64, ColumnarError> {
+    fn add_part(&self, s: usize, j: u64, first: u64, part: Part<'_>) -> Result<u64, ColumnarError> {
         let start = j * self.rows_per_shard;
         let end = (start + self.rows_per_shard).min(self.total);
         let mut builder = if first == start {
@@ -416,7 +419,7 @@ impl Output<'_> {
                     .map_err(|_| internal_err("a worker panicked while adding a shard part"))?;
             }
         };
-        builder.push_batch(part)?;
+        builder.gather(part.segments, part.rows)?;
         let mut pending = self.lock()?;
         if start + (builder.rows() as u64) < end {
             pending.builders.insert(j, Some(builder));
@@ -432,16 +435,18 @@ impl Output<'_> {
 }
 
 /// Phase 2 for slice `s`, whose first row is global row `first_row`:
-/// reads and verifies its piece from every spill file, sorts the pieces,
-/// and hands each output shard its part of the slice. Returns the rows of
-/// the shards it completed.
+/// reads and verifies its segment from every spill file, sorts the
+/// segments' row locations by their key columns, and hands each output
+/// shard its part of the slice. Returns the rows of the shards it
+/// completed.
 fn write_slice(
     s: usize,
     spill: &Spill,
     first_row: u64,
     out: &Output<'_>,
 ) -> Result<u64, ColumnarError> {
-    let sorted = sort_slice(spill.read_slice(s)?, 0);
+    let segments = spill.read_slice(s)?;
+    let sorted = sort_segments(&segments)?;
     // An empty slice (the last slices can start past the trace window)
     // has no part: it must neither open a shard nor wait on one.
     if sorted.is_empty() {
@@ -455,9 +460,13 @@ fn write_slice(
     for j in shards.clone().skip(1).chain([*shards.start()]) {
         let from = (j * out.rows_per_shard).max(first_row);
         let to = ((j + 1) * out.rows_per_shard).min(last_row + 1);
-        let part = sorted
+        let rows = sorted
             .get((from - first_row) as usize..(to - first_row) as usize)
             .ok_or_else(|| internal_err("shard part outside its slice"))?;
+        let part = Part {
+            segments: &segments,
+            rows,
+        };
         written += out.add_part(s, j, from, part)?;
     }
     Ok(written)
@@ -476,10 +485,11 @@ fn output_shard_name(prefix: &str, index: usize) -> String {
 /// `rows_per_shard` — for every thread count and task size.
 /// `rows_per_shard = 0` uses [`DEFAULT_ROWS_PER_SHARD`] (262 144 rows), the
 /// same default as the writer's. Peak memory per worker is one task
-/// group's encoded slices while spilling; while ordering, it is one slice
-/// (about `DEFAULT_ROWS_PER_SHARD / threads` rows), which it keeps while
-/// its part of a straddling shard waits its turn, and the builders of the
-/// shards it appends to. Scratch disk is one spill copy of the trace
+/// group's encoded slices while spilling; while ordering, it is one
+/// slice's encoded segments (about `DEFAULT_ROWS_PER_SHARD / threads`
+/// rows) and their sorted locations, which it keeps while its part of a
+/// straddling shard waits its turn, and the builders of the shards it
+/// appends to. Scratch disk is one spill copy of the trace
 /// beside the output, plus a few dozen bytes per (group, slice)
 /// segment. The site tables
 /// (catalogs, user populations) grow with `scale` and are dropped as soon
@@ -694,28 +704,32 @@ mod tests {
         }
     }
 
+    /// Checks that pargen writes the reference spool of `config` at
+    /// `opts` and at one thread.
     fn check_identical(config: &TraceConfig, opts: &ParGenOptions, rows_per_shard: usize) {
         let serial_dir = temp_dir("serial");
-        let parallel_dir = temp_dir("parallel");
         let (rows, shards) = reference_spool(config, &serial_dir, rows_per_shard);
-        let parallel = generate_columnar_parallel_with(
-            config,
-            opts,
-            &parallel_dir,
-            "req",
-            rows_per_shard,
-            &ResumeOptions::default(),
-        )
-        .expect("parallel generation");
-        assert_eq!(parallel.rows, rows);
-        assert_eq!(parallel.shards, shards);
-        assert_dirs_identical(&serial_dir, &parallel_dir);
-        assert!(
-            !parallel_dir.join(".runs-req").exists(),
-            "spill directory not cleaned up"
-        );
+        for threads in [opts.threads, 1] {
+            let parallel_dir = temp_dir("parallel");
+            let parallel = generate_columnar_parallel_with(
+                config,
+                &ParGenOptions { threads, ..*opts },
+                &parallel_dir,
+                "req",
+                rows_per_shard,
+                &ResumeOptions::default(),
+            )
+            .expect("parallel generation");
+            assert_eq!(parallel.rows, rows);
+            assert_eq!(parallel.shards, shards);
+            assert_dirs_identical(&serial_dir, &parallel_dir);
+            assert!(
+                !parallel_dir.join(".runs-req").exists(),
+                "spill directory not cleaned up"
+            );
+            let _ = std::fs::remove_dir_all(&parallel_dir);
+        }
         let _ = std::fs::remove_dir_all(&serial_dir);
-        let _ = std::fs::remove_dir_all(&parallel_dir);
     }
 
     #[test]
@@ -761,6 +775,27 @@ mod tests {
     }
 
     #[test]
+    fn parallel_matches_serial_tiny_shards() {
+        // Shards of 1 and 7 rows: every part of a slice but its first
+        // starts a shard, and parts straddle shards of every group.
+        let config = TraceConfig {
+            scale: 0.0003,
+            catalog_scale: 0.004,
+            ..TraceConfig::paper_week()
+        };
+        for rows_per_shard in [1, 7] {
+            check_identical(
+                &config,
+                &ParGenOptions {
+                    threads: 3,
+                    shard_size: 16,
+                },
+                rows_per_shard,
+            );
+        }
+    }
+
+    #[test]
     fn a_waiting_part_gives_up_only_when_an_earlier_slice_fails() {
         let dir = temp_dir("turns");
         std::fs::create_dir_all(&dir).expect("create dir");
@@ -770,6 +805,20 @@ mod tests {
                 ..Request::example()
             })
             .collect();
+        // The four requests as one spilled segment, and its rows.
+        let agents = vec![Request::example().user_agent];
+        let mut builder = ColumnBuilder::<Request>::new();
+        builder.push_batch(&requests).expect("encode");
+        let mut bytes = Vec::new();
+        builder
+            .write_segment_to(&mut bytes, &agents)
+            .expect("segment");
+        let segments = [ColumnarShard::from_segment(bytes, &agents).expect("open segment")];
+        let rows = [(0, 0), (0, 1), (0, 2), (0, 3)];
+        let part = |range: std::ops::Range<usize>| Part {
+            segments: &segments,
+            rows: &rows[range],
+        };
         let output = || Output {
             dir: &dir,
             prefix: "req",
@@ -784,12 +833,9 @@ mod tests {
         // slice 3 failing does not concern it.
         let out = output();
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| out.add_part(2, 0, 2, &requests[2..]));
+            let waiter = scope.spawn(|| out.add_part(2, 0, 2, part(2..4)));
             out.fail(3);
-            assert_eq!(
-                out.add_part(1, 0, 0, &requests[..2]).expect("first part"),
-                0
-            );
+            assert_eq!(out.add_part(1, 0, 0, part(0..2)).expect("first part"), 0);
             assert_eq!(waiter.join().expect("no panic").expect("second part"), 4);
         });
         let shard = ColumnarShard::open(&dir.join(output_shard_name("req", 0))).expect("shard");
@@ -800,7 +846,7 @@ mod tests {
         // Slice 1 failing means its rows never come: slice 2 gives up.
         let out = output();
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| out.add_part(2, 0, 2, &requests[2..]));
+            let waiter = scope.spawn(|| out.add_part(2, 0, 2, part(2..4)));
             out.fail(1);
             assert!(waiter.join().expect("no panic").is_err());
         });
