@@ -1,52 +1,80 @@
-//! Shared recency core used by LRU-family policies.
+//! The slab behind the recency-ordered policies.
+//!
+//! One [`LruCore`] holds every entry of a cache in one slab under one
+//! key → slot index, and threads each entry onto one of `LISTS` intrusive
+//! recency lists. A request probes the index once; moving an entry to the
+//! front of its list, or from one list to another (an SLRU promotion or
+//! demotion, a 2Q ghost re-reference), only relinks slots.
 
 use super::CacheKey;
-use oat_httplog::IdBuildHasher;
+use oat_httplog::{IdBuildHasher, ObjectId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Slot index meaning "no slot": the end of a list, or an empty list.
+/// Slot index meaning "no slot": the end of the free list.
 const NIL: u32 = u32::MAX;
 
-/// A byte-bounded recency list with O(1) touch/insert/evict/remove: a
-/// slab-indexed intrusive doubly-linked list (most recent at the head)
-/// plus a key → slot hash index. Freed slots are chained into a free list
-/// and reused, so the slab never holds more slots than the peak number of
-/// cached entries. Backs [`LruCache`](super::LruCache),
-/// [`SlruCache`](super::SlruCache) and [`TwoQCache`](super::TwoQCache).
+/// A byte-bounded set of recency lists with O(1) touch, move, insert,
+/// evict and remove: a slab of nodes on `LISTS` circular doubly-linked
+/// lists (most recent first), plus a key → slot hash index.
+///
+/// Slots `0..LISTS` are the lists' sentinels, so linking never branches
+/// on an empty list. Freed slots are chained into a free list and reused,
+/// so the slab never holds more than `LISTS` + the peak number of cached
+/// entries. Backs [`LruCache`](super::LruCache) (one list),
+/// [`SlruCache`](super::SlruCache) (probation and protected) and
+/// [`TwoQCache`](super::TwoQCache) (`A1in` and `Am`, plus a one-list
+/// core for its ghost keys).
 #[derive(Debug)]
-pub(crate) struct LruCore {
-    /// Entry slots; a free slot links to the next free one through `next`.
+pub(crate) struct LruCore<const LISTS: usize = 1> {
+    /// Sentinels, then entry slots; a free slot links to the next free
+    /// one through `next`.
     nodes: Vec<Node>,
     index: HashMap<CacheKey, u32, IdBuildHasher>,
-    /// Most recently used slot.
-    head: u32,
-    /// Least recently used slot.
-    tail: u32,
     /// First free slot.
     free: u32,
-    bytes: u64,
+    /// Bytes on each list.
+    bytes: [u64; LISTS],
 }
 
+/// One slot. The key is stored unpacked so that the list tag fits in
+/// `CacheKey`'s padding and a node stays 32 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    key: CacheKey,
+    object: ObjectId,
+    chunk: u32,
+    /// The list this node is on (a sentinel's own list).
+    list: u32,
     size: u64,
-    /// Towards the head (more recent).
+    /// Towards the head (more recent); a head links to its sentinel.
     prev: u32,
-    /// Towards the tail (less recent).
+    /// Towards the tail (less recent); a tail links to its sentinel.
     next: u32,
 }
 
-impl LruCore {
+impl Node {
+    fn key(&self) -> CacheKey {
+        CacheKey::chunk(self.object, self.chunk)
+    }
+}
+
+impl<const LISTS: usize> LruCore<LISTS> {
     pub fn new() -> Self {
+        let nodes = (0..LISTS as u32)
+            .map(|list| Node {
+                object: ObjectId::default(),
+                chunk: 0,
+                list,
+                size: 0,
+                prev: list,
+                next: list,
+            })
+            .collect();
         Self {
-            nodes: Vec::new(),
+            nodes,
             index: HashMap::default(),
-            head: NIL,
-            tail: NIL,
             free: NIL,
-            bytes: 0,
+            bytes: [0; LISTS],
         }
     }
 
@@ -54,41 +82,88 @@ impl LruCore {
         self.index.contains_key(key)
     }
 
+    /// Entries on all lists.
     pub fn len(&self) -> usize {
         self.index.len()
     }
 
-    pub fn bytes(&self) -> u64 {
-        self.bytes
+    /// Bytes on `list`.
+    pub fn bytes(&self, list: usize) -> u64 {
+        self.bytes[list]
     }
 
-    /// Moves `key` to the most-recent position. Returns false if absent.
+    /// Bytes on all lists.
+    pub fn total_bytes(&self) -> u64 {
+        self.bytes.iter().sum()
+    }
+
+    /// The slot holding `key`, if cached: the one index probe a request
+    /// makes.
+    pub fn slot(&self, key: &CacheKey) -> Option<u32> {
+        self.index.get(key).copied()
+    }
+
+    /// The list `slot` is on.
+    pub fn list_of(&self, slot: u32) -> usize {
+        self.nodes[slot as usize].list as usize
+    }
+
+    /// The size of the entry in `slot`.
+    #[cfg(test)]
+    pub fn size(&self, slot: u32) -> u64 {
+        self.nodes[slot as usize].size
+    }
+
+    /// The least recent slot on `list`, if any.
+    pub fn lru_slot(&self, list: usize) -> Option<u32> {
+        let tail = self.nodes[list].prev;
+        (tail as usize != list).then_some(tail)
+    }
+
+    /// Moves `key` to the most-recent position of its list. Returns false
+    /// if absent.
     pub fn touch(&mut self, key: &CacheKey) -> bool {
         let Some(&slot) = self.index.get(key) else {
             return false;
         };
-        if slot != self.head {
-            self.unlink(slot);
-            self.link_front(slot);
-        }
+        self.move_to(slot, self.list_of(slot));
         true
     }
 
-    /// Inserts `key` at the most-recent position (no capacity check —
-    /// callers evict first). Re-inserting refreshes recency and size.
-    pub fn insert(&mut self, key: CacheKey, size: u64) {
+    /// Moves the entry in `slot` to the most-recent position of `list`.
+    pub fn move_to(&mut self, slot: u32, list: usize) {
+        let node = self.nodes[slot as usize];
+        if node.list as usize == list {
+            if node.prev as usize != list {
+                self.unlink(slot);
+                self.link_front(slot, list);
+            }
+            return;
+        }
+        self.bytes[node.list as usize] -= node.size;
+        self.bytes[list] += node.size;
+        self.unlink(slot);
+        self.link_front(slot, list);
+    }
+
+    /// Inserts `key` at the most-recent position of `list` (no capacity
+    /// check — callers evict first). Re-inserting refreshes its recency,
+    /// size and list.
+    pub fn insert(&mut self, key: CacheKey, size: u64, list: usize) {
         let slot = match self.index.entry(key) {
             Entry::Occupied(entry) => {
                 let slot = *entry.get();
                 let node = &mut self.nodes[slot as usize];
-                self.bytes = self.bytes - node.size + size;
+                self.bytes[node.list as usize] -= node.size;
                 node.size = size;
                 self.unlink(slot);
                 slot
             }
             Entry::Vacant(entry) => {
                 let node = Node {
-                    key,
+                    object: key.object,
+                    chunk: key.chunk,
+                    list: list as u32,
                     size,
                     prev: NIL,
                     next: NIL,
@@ -96,7 +171,7 @@ impl LruCore {
                 let slot = if self.free == NIL {
                     let slot = self.nodes.len();
                     assert!(slot < NIL as usize, "LruCore indexes slots with u32");
-                    // oat-lint: allow(bounded-memory) -- slots <= peak cached entries: freed slots are reused first
+                    // oat-lint: allow(bounded-memory) -- slots <= LISTS + peak cached entries: freed slots are reused first
                     self.nodes.push(node);
                     slot as u32
                 } else {
@@ -106,64 +181,65 @@ impl LruCore {
                     slot
                 };
                 entry.insert(slot);
-                self.bytes += size;
                 slot
             }
         };
-        self.link_front(slot);
+        self.bytes[list] += size;
+        self.link_front(slot, list);
     }
 
-    /// Removes and returns the least-recently-used entry.
-    pub fn pop_lru(&mut self) -> Option<(CacheKey, u64)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let key = self.nodes[self.tail as usize].key;
-        self.remove(&key).map(|size| (key, size))
+    /// Removes and returns the least-recently-used entry of `list`.
+    pub fn pop_lru(&mut self, list: usize) -> Option<(CacheKey, u64)> {
+        let slot = self.lru_slot(list)?;
+        let key = self.nodes[slot as usize].key();
+        self.index.remove(&key);
+        Some((key, self.release(slot)))
     }
 
     /// Removes a specific key, returning its size.
     pub fn remove(&mut self, key: &CacheKey) -> Option<u64> {
         let slot = self.index.remove(key)?;
+        Some(self.release(slot))
+    }
+
+    /// Unlinks an unindexed `slot` onto the free list, returning its size.
+    fn release(&mut self, slot: u32) -> u64 {
         self.unlink(slot);
         let node = &mut self.nodes[slot as usize];
         node.next = self.free;
         self.free = slot;
-        self.bytes -= node.size;
-        Some(node.size)
+        self.bytes[node.list as usize] -= node.size;
+        node.size
     }
 
-    /// Size of the entry for `key`, if present.
-    pub fn size_of(&self, key: &CacheKey) -> Option<u64> {
-        self.index
-            .get(key)
-            .map(|&slot| self.nodes[slot as usize].size)
-    }
-
-    /// Detaches `slot` from the recency list (its links go stale).
+    /// Detaches `slot` from its list (its links go stale).
     fn unlink(&mut self, slot: u32) {
         let Node { prev, next, .. } = self.nodes[slot as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
     }
 
-    /// Links a detached `slot` in at the most-recent end.
-    fn link_front(&mut self, slot: u32) {
-        let old_head = self.head;
+    /// Links a detached `slot` in at the most-recent end of `list`.
+    fn link_front(&mut self, slot: u32, list: usize) {
+        let first = self.nodes[list].next;
         let node = &mut self.nodes[slot as usize];
-        node.prev = NIL;
-        node.next = old_head;
-        match old_head {
-            NIL => self.tail = slot,
-            h => self.nodes[h as usize].prev = slot,
+        node.list = list as u32;
+        node.prev = list as u32;
+        node.next = first;
+        self.nodes[first as usize].prev = slot;
+        self.nodes[list].next = slot;
+    }
+
+    /// The keys on `list`, most recent first.
+    #[cfg(test)]
+    pub fn keys(&self, list: usize) -> Vec<CacheKey> {
+        let mut keys = Vec::new();
+        let mut slot = self.nodes[list].next;
+        while slot as usize != list {
+            keys.push(self.nodes[slot as usize].key());
+            slot = self.nodes[slot as usize].next;
         }
-        self.head = slot;
+        keys
     }
 }
 
@@ -175,92 +251,98 @@ mod tests {
 
     #[test]
     fn insert_touch_evict_order() {
-        let mut core = LruCore::new();
-        core.insert(key(1), 10);
-        core.insert(key(2), 10);
-        core.insert(key(3), 10);
+        let mut core: LruCore = LruCore::new();
+        core.insert(key(1), 10, 0);
+        core.insert(key(2), 10, 0);
+        core.insert(key(3), 10, 0);
         assert_eq!(core.len(), 3);
-        assert_eq!(core.bytes(), 30);
+        assert_eq!(core.bytes(0), 30);
         // Touch 1; eviction order becomes 2, 3, 1.
         assert!(core.touch(&key(1)));
-        assert_eq!(core.pop_lru().unwrap().0, key(2));
-        assert_eq!(core.pop_lru().unwrap().0, key(3));
-        assert_eq!(core.pop_lru().unwrap().0, key(1));
-        assert!(core.pop_lru().is_none());
-        assert_eq!(core.bytes(), 0);
+        assert_eq!(core.pop_lru(0).unwrap().0, key(2));
+        assert_eq!(core.pop_lru(0).unwrap().0, key(3));
+        assert_eq!(core.pop_lru(0).unwrap().0, key(1));
+        assert!(core.pop_lru(0).is_none());
+        assert_eq!(core.bytes(0), 0);
     }
 
     #[test]
     fn touch_missing_is_false() {
-        let mut core = LruCore::new();
+        let mut core: LruCore = LruCore::new();
         assert!(!core.touch(&key(9)));
     }
 
     #[test]
     fn reinsert_updates_size_and_recency() {
-        let mut core = LruCore::new();
-        core.insert(key(1), 10);
-        core.insert(key(2), 10);
-        core.insert(key(1), 25); // refresh
-        assert_eq!(core.bytes(), 35);
+        let mut core: LruCore = LruCore::new();
+        core.insert(key(1), 10, 0);
+        core.insert(key(2), 10, 0);
+        core.insert(key(1), 25, 0); // refresh
+        assert_eq!(core.bytes(0), 35);
         assert_eq!(core.len(), 2);
-        assert_eq!(core.size_of(&key(1)), Some(25));
-        assert_eq!(core.pop_lru().unwrap().0, key(2));
+        assert_eq!(core.slot(&key(1)).map(|s| core.size(s)), Some(25));
+        assert_eq!(core.pop_lru(0).unwrap().0, key(2));
     }
 
     #[test]
     fn remove_specific() {
-        let mut core = LruCore::new();
-        core.insert(key(1), 7);
+        let mut core: LruCore = LruCore::new();
+        core.insert(key(1), 7, 0);
         assert_eq!(core.remove(&key(1)), Some(7));
         assert_eq!(core.remove(&key(1)), None);
-        assert_eq!(core.bytes(), 0);
+        assert_eq!(core.bytes(0), 0);
         assert_eq!(core.len(), 0);
     }
 
-    /// Naive reference: a `Vec` recency list, least recent first.
+    /// Naive reference: one `Vec` per list, least recent first.
     #[derive(Default)]
     struct Model {
-        order: Vec<(CacheKey, u64)>,
+        lists: [Vec<(CacheKey, u64)>; 2],
     }
 
     impl Model {
-        fn position(&self, k: &CacheKey) -> Option<usize> {
-            self.order.iter().position(|(key, _)| key == k)
+        fn position(&self, k: &CacheKey) -> Option<(usize, usize)> {
+            (0..2).find_map(|l| {
+                let i = self.lists[l].iter().position(|(key, _)| key == k)?;
+                Some((l, i))
+            })
         }
 
-        fn insert(&mut self, k: CacheKey, size: u64) {
-            if let Some(i) = self.position(&k) {
-                self.order.remove(i);
-            }
-            self.order.push((k, size));
+        fn take(&mut self, k: &CacheKey) -> Option<(usize, (CacheKey, u64))> {
+            self.position(k).map(|(l, i)| (l, self.lists[l].remove(i)))
+        }
+
+        fn insert(&mut self, k: CacheKey, size: u64, list: usize) {
+            self.take(&k);
+            self.lists[list].push((k, size));
         }
 
         fn touch(&mut self, k: &CacheKey) -> bool {
-            match self.position(k) {
-                Some(i) => {
-                    let entry = self.order.remove(i);
-                    self.order.push(entry);
-                    true
-                }
-                None => false,
-            }
+            self.take(k)
+                .map(|(l, entry)| self.lists[l].push(entry))
+                .is_some()
         }
 
-        fn pop_lru(&mut self) -> Option<(CacheKey, u64)> {
-            (!self.order.is_empty()).then(|| self.order.remove(0))
+        fn move_to(&mut self, k: &CacheKey, list: usize) -> bool {
+            self.take(k)
+                .map(|(_, entry)| self.lists[list].push(entry))
+                .is_some()
         }
 
-        fn remove(&mut self, k: &CacheKey) -> Option<u64> {
-            self.position(k).map(|i| self.order.remove(i).1)
+        fn pop_lru(&mut self, list: usize) -> Option<(CacheKey, u64)> {
+            (!self.lists[list].is_empty()).then(|| self.lists[list].remove(0))
         }
 
-        fn size_of(&self, k: &CacheKey) -> Option<u64> {
-            self.position(k).map(|i| self.order[i].1)
+        fn len(&self) -> usize {
+            self.lists.iter().map(Vec::len).sum()
         }
 
-        fn bytes(&self) -> u64 {
-            self.order.iter().map(|&(_, size)| size).sum()
+        fn bytes(&self, list: usize) -> u64 {
+            self.lists[list].iter().map(|&(_, size)| size).sum()
+        }
+
+        fn keys(&self, list: usize) -> Vec<CacheKey> {
+            self.lists[list].iter().rev().map(|&(k, _)| k).collect()
         }
     }
 
@@ -268,45 +350,57 @@ mod tests {
     fn matches_reference_model() {
         for seed in 0..20u64 {
             let mut rng = Rng::seed_from_u64(seed);
-            let mut core = LruCore::new();
+            let mut core: LruCore<2> = LruCore::new();
             let mut model = Model::default();
             let mut peak = 0usize;
             for step in 0..2_000 {
                 let k = key(rng.gen_range(0..24u64));
-                match rng.gen_range(0..10) {
+                let list = rng.gen_range(0..2u64) as usize;
+                let at = format!("seed {seed} step {step}");
+                match rng.gen_range(0..12) {
                     0..=3 => {
                         let size = rng.gen_range(1..100u64);
-                        core.insert(k, size);
-                        model.insert(k, size);
+                        core.insert(k, size, list);
+                        model.insert(k, size, list);
                     }
-                    4 | 5 => assert_eq!(core.touch(&k), model.touch(&k), "seed {seed} step {step}"),
-                    6 => assert_eq!(core.pop_lru(), model.pop_lru(), "seed {seed} step {step}"),
-                    7 | 8 => {
-                        assert_eq!(core.remove(&k), model.remove(&k), "seed {seed} step {step}")
+                    4 | 5 => assert_eq!(core.touch(&k), model.touch(&k), "{at}"),
+                    6 | 7 => {
+                        let slot = core.slot(&k);
+                        if let Some(slot) = slot {
+                            core.move_to(slot, list);
+                        }
+                        assert_eq!(slot.is_some(), model.move_to(&k, list), "{at}");
+                    }
+                    8 => assert_eq!(core.pop_lru(list), model.pop_lru(list), "{at}"),
+                    9 | 10 => {
+                        let removed = model.take(&k).map(|(_, (_, size))| size);
+                        assert_eq!(core.remove(&k), removed, "{at}");
                     }
                     _ => assert_eq!(
-                        core.size_of(&k),
-                        model.size_of(&k),
-                        "seed {seed} step {step}"
+                        core.slot(&k).map(|s| (core.list_of(s), core.size(s))),
+                        model.position(&k).map(|(l, i)| (l, model.lists[l][i].1)),
+                        "{at}"
                     ),
                 }
-                assert_eq!(core.len(), model.order.len(), "seed {seed} step {step}");
-                assert_eq!(core.bytes(), model.bytes(), "seed {seed} step {step}");
+                assert_eq!(core.len(), model.len(), "{at}");
+                for l in 0..2 {
+                    assert_eq!(core.bytes(l), model.bytes(l), "{at}");
+                    assert_eq!(core.keys(l), model.keys(l), "{at}");
+                    assert_eq!(core.lru_slot(l).is_some(), !model.lists[l].is_empty());
+                }
                 assert_eq!(core.contains(&k), model.position(&k).is_some());
                 peak = peak.max(core.len());
                 // A new slot is taken only when the free list is empty.
-                assert_eq!(
-                    core.nodes.len(),
-                    peak,
-                    "seed {seed} step {step}: slot reuse"
-                );
+                assert_eq!(core.nodes.len(), 2 + peak, "{at}: slot reuse");
             }
             // Full eviction order.
-            while let Some(expected) = model.pop_lru() {
-                assert_eq!(core.pop_lru(), Some(expected), "seed {seed}: drain");
+            for l in 0..2 {
+                while let Some(expected) = model.pop_lru(l) {
+                    assert_eq!(core.pop_lru(l), Some(expected), "seed {seed}: drain");
+                }
+                assert_eq!(core.pop_lru(l), None);
             }
-            assert_eq!(core.pop_lru(), None);
-            assert_eq!(core.bytes(), 0);
+            assert_eq!(core.total_bytes(), 0);
         }
     }
 }

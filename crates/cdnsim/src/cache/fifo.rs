@@ -2,6 +2,7 @@
 
 use super::{CacheKey, CachePolicy};
 use oat_httplog::IdBuildHasher;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// Byte-bounded FIFO: eviction order is admission order; hits do not
@@ -27,36 +28,40 @@ impl FifoCache {
         }
     }
 
-    fn evict_for(&mut self, size: u64) {
-        while self.bytes + size > self.capacity {
-            let Some(victim) = self.queue.pop_front() else {
-                break;
-            };
-            if let Some(s) = self.entries.remove(&victim) {
-                self.bytes -= s;
-                self.evictions += 1;
+    /// Admits `key` at the back of the queue unless it is cached or
+    /// larger than the capacity, then evicts the oldest admissions until
+    /// the bytes fit. The new key is last in line, so it is never its own
+    /// victim, and one `entry` probe answers both the lookup and the
+    /// admission. Returns whether `key` was cached.
+    fn admit(&mut self, key: CacheKey, size: u64) -> bool {
+        let Entry::Vacant(slot) = self.entries.entry(key) else {
+            return true;
+        };
+        if size <= self.capacity {
+            slot.insert(size);
+            self.queue.push_back(key);
+            self.bytes += size;
+            while self.bytes > self.capacity {
+                let Some(victim) = self.queue.pop_front() else {
+                    break;
+                };
+                if let Some(s) = self.entries.remove(&victim) {
+                    self.bytes -= s;
+                    self.evictions += 1;
+                }
             }
         }
+        false
     }
 }
 
 impl CachePolicy for FifoCache {
-    fn request(&mut self, key: CacheKey, size: u64, now: u64) -> bool {
-        if self.entries.contains_key(&key) {
-            return true;
-        }
-        self.insert(key, size, now);
-        false
+    fn request(&mut self, key: CacheKey, size: u64, _now: u64) -> bool {
+        self.admit(key, size)
     }
 
     fn insert(&mut self, key: CacheKey, size: u64, _now: u64) {
-        if size > self.capacity || self.entries.contains_key(&key) {
-            return;
-        }
-        self.evict_for(size);
-        self.queue.push_back(key);
-        self.entries.insert(key, size);
-        self.bytes += size;
+        self.admit(key, size);
     }
 
     fn contains(&self, key: &CacheKey) -> bool {

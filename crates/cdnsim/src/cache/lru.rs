@@ -34,8 +34,8 @@ impl LruCache {
     }
 
     fn evict_for(&mut self, size: u64) {
-        while self.core.bytes() + size > self.capacity {
-            if self.core.pop_lru().is_none() {
+        while self.core.bytes(0) + size > self.capacity {
+            if self.core.pop_lru(0).is_none() {
                 break;
             }
             self.evictions += 1;
@@ -57,7 +57,7 @@ impl CachePolicy for LruCache {
             return; // uncacheable
         }
         self.evict_for(size);
-        self.core.insert(key, size);
+        self.core.insert(key, size, 0);
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
@@ -69,7 +69,7 @@ impl CachePolicy for LruCache {
     }
 
     fn bytes_used(&self) -> u64 {
-        self.core.bytes()
+        self.core.bytes(0)
     }
 
     fn capacity_bytes(&self) -> u64 {

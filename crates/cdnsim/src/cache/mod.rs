@@ -1,13 +1,27 @@
 //! Cache eviction policies.
 //!
 //! The CDN in the paper runs proprietary caching; this module provides the
-//! standard policy family (LRU, LFU, FIFO, 2Q, SLRU, plus an infinite
-//! upper bound), all behind one object-safe [`CachePolicy`] trait so the
-//! simulator and the ablation benches can swap them freely. A [`TtlCache`]
-//! wrapper adds expiry-based revalidation (ablation A5) and a
+//! standard policy family (LRU, LFU, FIFO, 2Q, SLRU, GDSF, plus an
+//! infinite upper bound), all behind one object-safe [`CachePolicy`] trait
+//! so the simulator and the ablation benches can swap them freely. A
+//! [`TtlCache`] wrapper adds expiry-based revalidation (ablation A5) and a
 //! [`TieredCache`] splits small/large objects across two caches — the
 //! paper's §IV-B suggestion of separate platforms for thumbnails vs videos
 //! (ablation A2).
+//!
+//! Each bounded policy keeps its entries in one slab under one key → slot
+//! index, so a hit probes the index once and then only relinks slots:
+//!
+//! - LRU, SLRU and 2Q thread their queues (SLRU's probation and
+//!   protected segments, 2Q's `A1in` and `Am`) through one `LruCore`,
+//!   each node tagged with its queue. 2Q's ghost keys keep a second,
+//!   byte-free core.
+//! - LFU chains frequency buckets, lowest first, each a list of its
+//!   entries in the order they reached its frequency.
+//! - GDSF queues `(priority, seq, slot)` in a monotone radix queue and
+//!   skips a stale entry by comparing its `seq` with its slot's.
+//! - FIFO keeps its admission queue beside its map and answers a miss
+//!   with one `entry` probe.
 
 mod core_lru;
 mod fifo;
@@ -15,7 +29,6 @@ mod gdsf;
 mod infinite;
 mod lfu;
 mod lru;
-mod rank_heap;
 mod slru;
 mod tiered;
 mod ttl;

@@ -7,16 +7,23 @@ use super::{CacheKey, CachePolicy};
 /// promotes an entry to the *protected* segment. Protected overflow demotes
 /// back to probation, probation overflow leaves the cache.
 ///
+/// Both segments are lists of one `LruCore`, so a request probes one
+/// key index and a promotion or demotion only relinks slab slots.
+///
 /// The protected segment gets 80 % of the byte budget by default, matching
 /// common CDN configurations.
 #[derive(Debug)]
 pub struct SlruCache {
-    probation: LruCore,
-    protected: LruCore,
+    core: LruCore<2>,
     protected_capacity: u64,
     capacity: u64,
     evictions: u64,
 }
+
+/// The segment new admissions and demotions enter.
+const PROBATION: usize = 0;
+/// The segment a probationary hit is promoted to.
+const PROTECTED: usize = 1;
 
 impl SlruCache {
     /// Creates an SLRU cache with an 80 % protected segment.
@@ -29,84 +36,79 @@ impl SlruCache {
     pub fn with_protected_fraction(capacity_bytes: u64, fraction: f64) -> Self {
         let fraction = fraction.clamp(0.0, 1.0);
         Self {
-            probation: LruCore::new(),
-            protected: LruCore::new(),
+            core: LruCore::new(),
             protected_capacity: (capacity_bytes as f64 * fraction) as u64,
             capacity: capacity_bytes,
             evictions: 0,
         }
     }
 
-    /// Evicts from probation until total use fits `size` more bytes.
+    /// Evicts from probation, then protected, until total use fits `size`
+    /// more bytes.
     fn evict_for(&mut self, size: u64) {
-        while self.probation.bytes() + self.protected.bytes() + size > self.capacity {
-            if self.probation.pop_lru().is_some() {
-                self.evictions += 1;
-                continue;
-            }
-            // Probation empty: evict from protected directly.
-            if self.protected.pop_lru().is_some() {
-                self.evictions += 1;
-                continue;
-            }
-            break;
-        }
-    }
-
-    fn promote(&mut self, key: CacheKey, size: u64) {
-        self.probation.remove(&key);
-        // oat-lint: allow(bounded-memory) -- demotion loop below caps protected bytes
-        self.protected.insert(key, size);
-        // Demote protected overflow into probation (may cascade to real
-        // evictions).
-        while self.protected.bytes() > self.protected_capacity {
-            let Some((demoted, dsize)) = self.protected.pop_lru() else {
-                break;
-            };
-            // oat-lint: allow(bounded-memory) -- total-capacity eviction loop follows
-            self.probation.insert(demoted, dsize);
-        }
-        // Demotions may have pushed total over capacity.
-        while self.probation.bytes() + self.protected.bytes() > self.capacity {
-            if self.probation.pop_lru().is_none() {
+        while self.core.total_bytes() + size > self.capacity {
+            if self.core.pop_lru(PROBATION).is_none() && self.core.pop_lru(PROTECTED).is_none() {
                 break;
             }
             self.evictions += 1;
         }
     }
-}
 
-impl CachePolicy for SlruCache {
-    fn request(&mut self, key: CacheKey, size: u64, now: u64) -> bool {
-        if self.protected.touch(&key) {
-            return true;
+    /// Moves the probationary entry in `slot` to protected, demoting
+    /// protected overflow to the most-recent end of probation. Moves keep
+    /// the total bytes, so nothing is evicted.
+    fn promote(&mut self, slot: u32) {
+        self.core.move_to(slot, PROTECTED);
+        while self.core.bytes(PROTECTED) > self.protected_capacity {
+            let Some(demoted) = self.core.lru_slot(PROTECTED) else {
+                break;
+            };
+            self.core.move_to(demoted, PROBATION);
         }
-        if let Some(actual) = self.probation.size_of(&key) {
-            self.promote(key, actual);
-            return true;
-        }
-        self.insert(key, size, now);
-        false
     }
 
-    fn insert(&mut self, key: CacheKey, size: u64, _now: u64) {
-        if size > self.capacity || self.contains(&key) {
+    /// Admits an uncached `key` to probation.
+    fn admit(&mut self, key: CacheKey, size: u64) {
+        if size > self.capacity {
             return;
         }
         self.evict_for(size);
-        self.probation.insert(key, size);
+        // oat-lint: allow(bounded-memory) -- evict_for above frees capacity first
+        self.core.insert(key, size, PROBATION);
+    }
+}
+
+impl CachePolicy for SlruCache {
+    fn request(&mut self, key: CacheKey, size: u64, _now: u64) -> bool {
+        match self.core.slot(&key) {
+            Some(slot) if self.core.list_of(slot) == PROTECTED => {
+                self.core.move_to(slot, PROTECTED);
+            }
+            Some(slot) => self.promote(slot),
+            None => {
+                self.admit(key, size);
+                return false;
+            }
+        }
+        true
+    }
+
+    fn insert(&mut self, key: CacheKey, size: u64, _now: u64) {
+        if !self.core.contains(&key) {
+            self.admit(key, size);
+        }
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        self.probation.contains(key) || self.protected.contains(key)
+        self.core.contains(key)
     }
 
     fn len(&self) -> usize {
-        self.probation.len() + self.protected.len()
+        self.core.len()
     }
 
     fn bytes_used(&self) -> u64 {
-        self.probation.bytes() + self.protected.bytes()
+        self.core.total_bytes()
     }
 
     fn capacity_bytes(&self) -> u64 {

@@ -10,10 +10,15 @@ const A1OUT_ENTRIES: usize = 512;
 /// after falling out of `A1in` (tracked by the ghost `A1out` list) are
 /// promoted into the main LRU (`Am`). One-hit wonders therefore never
 /// pollute the main queue.
+///
+/// `A1in` and `Am` are lists of one `LruCore`, so a request probes one
+/// key index for them. The ghost keys keep their own small index: a push
+/// placement ([`CachePolicy::insert`]) may admit a key to `A1in` while it
+/// is still a ghost.
 #[derive(Debug)]
 pub struct TwoQCache {
-    a1in: LruCore, // used FIFO-style: never touched on hit
-    am: LruCore,
+    /// `A1in` is used FIFO-style (never touched on hit); `Am` is an LRU.
+    core: LruCore<2>,
     /// Ghost keys (no bytes), used FIFO-style: a key joins at the head
     /// only if absent, the oldest leaves past `A1OUT_ENTRIES`, and a
     /// promotion removes its key in O(1).
@@ -23,13 +28,17 @@ pub struct TwoQCache {
     evictions: u64,
 }
 
+/// The admission queue.
+const A1IN: usize = 0;
+/// The main LRU queue.
+const AM: usize = 1;
+
 impl TwoQCache {
     /// Creates a 2Q cache with `A1in` = 25 % of bytes and a ghost list of
     /// 512 entries.
     pub fn new(capacity_bytes: u64) -> Self {
         Self {
-            a1in: LruCore::new(),
-            am: LruCore::new(),
+            core: LruCore::new(),
             a1out: LruCore::new(),
             a1in_capacity: capacity_bytes / 4,
             capacity: capacity_bytes,
@@ -42,78 +51,82 @@ impl TwoQCache {
             return;
         }
         // oat-lint: allow(bounded-memory) -- A1out trimmed to A1OUT_ENTRIES below
-        self.a1out.insert(key, 0);
+        self.a1out.insert(key, 0, 0);
         while self.a1out.len() > A1OUT_ENTRIES {
-            self.a1out.pop_lru();
+            self.a1out.pop_lru(0);
         }
     }
 
+    /// Evicts an `A1in` entry to the ghost list, if there is one.
+    fn evict_a1in(&mut self) -> bool {
+        let Some((victim, _)) = self.core.pop_lru(A1IN) else {
+            return false;
+        };
+        self.ghost_push(victim);
+        true
+    }
+
     fn make_room(&mut self, size: u64) {
-        while self.a1in.bytes() + self.am.bytes() + size > self.capacity {
+        while self.core.total_bytes() + size > self.capacity {
             // Prefer reclaiming A1in (its tail is the oldest admission);
             // track it in the ghost list.
-            if self.a1in.bytes() > self.a1in_capacity || self.am.bytes() == 0 {
-                if let Some((victim, _)) = self.a1in.pop_lru() {
-                    self.ghost_push(victim);
-                    self.evictions += 1;
-                    continue;
-                }
+            let a1in_first = self.core.bytes(A1IN) > self.a1in_capacity || self.core.bytes(AM) == 0;
+            if !(a1in_first && self.evict_a1in())
+                && self.core.pop_lru(AM).is_none()
+                && !self.evict_a1in()
+            {
+                break;
             }
-            if self.am.pop_lru().is_some() {
-                self.evictions += 1;
-                continue;
-            }
-            if let Some((victim, _)) = self.a1in.pop_lru() {
-                self.ghost_push(victim);
-                self.evictions += 1;
-                continue;
-            }
-            break;
+            self.evictions += 1;
         }
+    }
+
+    /// Admits an uncached `key` to `list` after making room for it.
+    fn admit(&mut self, key: CacheKey, size: u64, list: usize) {
+        self.make_room(size);
+        // oat-lint: allow(bounded-memory) -- make_room above frees capacity first
+        self.core.insert(key, size, list);
     }
 }
 
 impl CachePolicy for TwoQCache {
-    fn request(&mut self, key: CacheKey, size: u64, now: u64) -> bool {
-        if self.am.touch(&key) {
-            return true;
-        }
-        if self.a1in.contains(&key) {
+    fn request(&mut self, key: CacheKey, size: u64, _now: u64) -> bool {
+        if let Some(slot) = self.core.slot(&key) {
             // 2Q leaves A1in order untouched on hit.
+            if self.core.list_of(slot) == AM {
+                self.core.move_to(slot, AM);
+            }
             return true;
         }
-        if self.a1out.contains(&key) {
-            // Re-reference after A1in: promote straight to Am.
-            if size <= self.capacity {
-                self.a1out.remove(&key);
-                self.make_room(size);
-                // oat-lint: allow(bounded-memory) -- make_room above frees capacity first
-                self.am.insert(key, size);
-            }
-            return false; // ghost entries hold no bytes — still a miss
+        if size <= self.capacity {
+            // A re-reference after A1in promotes straight to Am; ghost
+            // entries hold no bytes, so it is still a miss.
+            let list = if self.a1out.remove(&key).is_some() {
+                AM
+            } else {
+                A1IN
+            };
+            self.admit(key, size, list);
         }
-        self.insert(key, size, now);
         false
     }
 
     fn insert(&mut self, key: CacheKey, size: u64, _now: u64) {
-        if size > self.capacity || self.contains(&key) {
-            return;
+        if size <= self.capacity && !self.core.contains(&key) {
+            self.admit(key, size, A1IN);
         }
-        self.make_room(size);
-        self.a1in.insert(key, size);
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        self.a1in.contains(key) || self.am.contains(key)
+        self.core.contains(key)
     }
 
     fn len(&self) -> usize {
-        self.a1in.len() + self.am.len()
+        self.core.len()
     }
 
     fn bytes_used(&self) -> u64 {
-        self.a1in.bytes() + self.am.bytes()
+        self.core.total_bytes()
     }
 
     fn capacity_bytes(&self) -> u64 {
@@ -162,6 +175,12 @@ mod tests {
         assert!(cache.evictions() > 50);
     }
 
+    impl TwoQCache {
+        fn list_of(&self, key: &CacheKey) -> Option<usize> {
+            self.core.slot(key).map(|slot| self.core.list_of(slot))
+        }
+    }
+
     /// The 2Q this cache replaced, kept as a reference: the same queues,
     /// with the ghost list as a `VecDeque` (oldest first) that a
     /// promotion scans to remove its key.
@@ -196,19 +215,19 @@ mod tests {
         }
 
         fn make_room(&mut self, size: u64) {
-            while self.a1in.bytes() + self.am.bytes() + size > self.capacity {
-                if self.a1in.bytes() > self.a1in_capacity || self.am.bytes() == 0 {
-                    if let Some((victim, _)) = self.a1in.pop_lru() {
+            while self.a1in.bytes(0) + self.am.bytes(0) + size > self.capacity {
+                if self.a1in.bytes(0) > self.a1in_capacity || self.am.bytes(0) == 0 {
+                    if let Some((victim, _)) = self.a1in.pop_lru(0) {
                         self.ghost_push(victim);
                         self.evictions += 1;
                         continue;
                     }
                 }
-                if self.am.pop_lru().is_some() {
+                if self.am.pop_lru(0).is_some() {
                     self.evictions += 1;
                     continue;
                 }
-                if let Some((victim, _)) = self.a1in.pop_lru() {
+                if let Some((victim, _)) = self.a1in.pop_lru(0) {
                     self.ghost_push(victim);
                     self.evictions += 1;
                     continue;
@@ -225,7 +244,7 @@ mod tests {
                 if size <= self.capacity {
                     self.a1out.retain(|k| k != &key);
                     self.make_room(size);
-                    self.am.insert(key, size);
+                    self.am.insert(key, size, 0);
                 }
                 return false;
             }
@@ -236,7 +255,7 @@ mod tests {
         fn insert(&mut self, key: CacheKey, size: u64) {
             if size <= self.capacity && !self.a1in.contains(&key) && !self.am.contains(&key) {
                 self.make_room(size);
-                self.a1in.insert(key, size);
+                self.a1in.insert(key, size, 0);
             }
         }
     }
@@ -279,13 +298,22 @@ mod tests {
                     model.evictions,
                     "seed {seed} step {step}"
                 );
-                assert_eq!(cache.bytes_used(), model.a1in.bytes() + model.am.bytes());
+                assert_eq!(cache.bytes_used(), model.a1in.bytes(0) + model.am.bytes(0));
                 assert_eq!(
                     cache.a1out.len(),
                     model.a1out.len(),
                     "seed {seed} step {step}"
                 );
-                assert_eq!(cache.am.len(), model.am.len(), "seed {seed} step {step}");
+                assert_eq!(
+                    cache.core.keys(AM),
+                    model.am.keys(0),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    cache.core.keys(A1IN),
+                    model.a1in.keys(0),
+                    "seed {seed} step {step}"
+                );
             }
             for id in 0..2_000u64 {
                 let k = key(id);
@@ -294,9 +322,13 @@ mod tests {
                     model.a1out.contains(&k),
                     "seed {seed}"
                 );
-                assert_eq!(cache.am.contains(&k), model.am.contains(&k), "seed {seed}");
                 assert_eq!(
-                    cache.a1in.contains(&k),
+                    cache.list_of(&k) == Some(AM),
+                    model.am.contains(&k),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    cache.list_of(&k) == Some(A1IN),
                     model.a1in.contains(&k),
                     "seed {seed}"
                 );
@@ -319,6 +351,6 @@ mod tests {
             cache.request(key(i), 10, i);
         }
         assert_eq!(cache.a1out.len(), A1OUT_ENTRIES);
-        assert_eq!(cache.a1out.bytes(), 0, "ghosts hold no bytes");
+        assert_eq!(cache.a1out.bytes(0), 0, "ghosts hold no bytes");
     }
 }

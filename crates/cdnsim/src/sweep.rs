@@ -187,18 +187,44 @@ impl<'a> Sweep<'a> {
             }
         }
 
-        // Curve-answered and escalating points: one task each.
-        let mut results = parallel_map(self.threads, configs, |config| self.eval(config, &curves));
-        // Every other point is a plain replay, run PoP-major per topology.
-        for (&ppr, partition) in &partitions {
-            let plain: Vec<usize> = (0..configs.len())
-                .filter(|&i| results[i].is_none() && configs[i].pops_per_region.max(1) == ppr)
-                .collect();
-            let points: Vec<&SimConfig> = plain.iter().map(|&i| &configs[i]).collect();
-            let totals = self.replay_pop_major(partition, &points);
-            for (i, stats) in plain.into_iter().zip(totals) {
-                results[i] = Some((stats, SweepEngine::Replay));
-            }
+        // Curve-answered points cost one lookup each.
+        let mut results: Vec<Option<(ServeStats, SweepEngine)>> = configs
+            .iter()
+            .map(|config| self.curve_answer(config, &curves))
+            .collect();
+        // Escalating points are one serial replay each; every other point
+        // is a plain replay, run PoP-major per topology. While there are
+        // fewer escalating points than workers, the two phases run at the
+        // same time, the plain replay on the workers the escalating points
+        // leave; otherwise one phase follows the other on every worker.
+        let escalating: Vec<usize> = (0..configs.len())
+            .filter(|&i| escalates(&configs[i]))
+            .collect();
+        let plain: Vec<usize> = (0..configs.len())
+            .filter(|&i| results[i].is_none() && !escalates(&configs[i]))
+            .collect();
+        let serve = |&i: &usize| {
+            // Served serially in trace order: cross-PoP probes see one
+            // deterministic interleaving.
+            (i, Simulator::new(&configs[i]).replay_stats(self.requests))
+        };
+        let threads = oat_stats::pool::resolve_threads(self.threads);
+        let (served, replayed) =
+            if !escalating.is_empty() && !plain.is_empty() && escalating.len() < threads {
+                std::thread::scope(|scope| {
+                    let served = scope.spawn(|| parallel_map(escalating.len(), &escalating, serve));
+                    let replayed =
+                        self.replay_plain(configs, &plain, &partitions, threads - escalating.len());
+                    (oat_stats::pool::join(served), replayed)
+                })
+            } else {
+                (
+                    parallel_map(threads, &escalating, serve),
+                    self.replay_plain(configs, &plain, &partitions, threads),
+                )
+            };
+        for (i, stats) in served.into_iter().chain(replayed) {
+            results[i] = Some((stats, SweepEngine::Replay));
         }
         configs
             .iter()
@@ -216,19 +242,13 @@ impl<'a> Sweep<'a> {
             .collect()
     }
 
-    /// Evaluates one grid point that does not replay plain, or returns
-    /// `None` for a plain point, which [`Sweep::run`] replays PoP-major.
-    fn eval(
+    /// Answers a Mattson-eligible point from its topology's curve, if the
+    /// curve is exact at its capacity.
+    fn curve_answer(
         &self,
         config: &SimConfig,
         curves: &BTreeMap<usize, MattsonCurve>,
     ) -> Option<(ServeStats, SweepEngine)> {
-        if escalates(config) {
-            // Served serially in trace order: cross-PoP probes see one
-            // deterministic interleaving.
-            let stats = Simulator::new(config).replay_stats(self.requests);
-            return Some((stats, SweepEngine::Replay));
-        }
         let curve = curves.get(&config.pops_per_region.max(1))?;
         (mattson_eligible(config) && curve.exact_at(config.cache_capacity_bytes)).then(|| {
             (
@@ -236,6 +256,29 @@ impl<'a> Sweep<'a> {
                 SweepEngine::Mattson,
             )
         })
+    }
+
+    /// Replays the `plain` points of `configs` topology by topology on up
+    /// to `threads` workers, returning each point's index and statistics.
+    fn replay_plain(
+        &self,
+        configs: &[SimConfig],
+        plain: &[usize],
+        partitions: &BTreeMap<usize, RoutePartition>,
+        threads: usize,
+    ) -> Vec<(usize, ServeStats)> {
+        let mut replayed = Vec::with_capacity(plain.len());
+        for (&ppr, partition) in partitions {
+            let points: Vec<usize> = plain
+                .iter()
+                .copied()
+                .filter(|&i| configs[i].pops_per_region.max(1) == ppr)
+                .collect();
+            let grid: Vec<&SimConfig> = points.iter().map(|&i| &configs[i]).collect();
+            let totals = self.replay_pop_major(partition, &grid, threads);
+            replayed.extend(points.into_iter().zip(totals));
+        }
+        replayed
     }
 
     /// Replays plain (non-escalating) points over one topology's
@@ -248,6 +291,7 @@ impl<'a> Sweep<'a> {
         &self,
         partition: &RoutePartition,
         points: &[&SimConfig],
+        threads: usize,
     ) -> Vec<ServeStats> {
         let mut totals = vec![ServeStats::new(); points.len()];
         if points.is_empty() {
@@ -255,7 +299,7 @@ impl<'a> Sweep<'a> {
         }
         for indices in partition.per_pop() {
             let stream = PopStream::build(self.requests, indices);
-            let counts = parallel_map(self.threads, points, |config| stream.replay(config));
+            let counts = parallel_map(threads, points, |config| stream.replay(config));
             for (total, count) in totals.iter_mut().zip(counts) {
                 total.merge(&stream.stats(count));
             }

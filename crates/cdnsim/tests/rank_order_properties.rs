@@ -1,8 +1,9 @@
-//! LFU and GDSF keep their eviction order in a lazy-deletion heap. These
-//! properties replay random traces through them and through reference
-//! models that keep the order in a `BTreeSet<(rank, seq, key)>`, removing
-//! and re-inserting on every re-rank, and require identical behaviour at
-//! every step.
+//! LFU keeps its eviction order in frequency buckets over a slab, and
+//! GDSF in a radix queue of slab slots that skips stale entries by their
+//! `seq`. These properties replay random traces through them and through
+//! reference models that keep the order in a `BTreeSet<(rank, seq, key)>`,
+//! removing and re-inserting on every re-rank, and require identical
+//! behaviour at every step.
 
 use oat_cdnsim::cache::{CacheKey, GdsfCache, LfuCache};
 use oat_cdnsim::CachePolicy;
